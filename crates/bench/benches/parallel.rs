@@ -24,8 +24,7 @@ fn sweep(jobs: usize) {
         measure: 5_000,
     };
     let mut sess = Session::new(len, None);
-    // lanes = 1: this bench isolates worker scaling, not lane batching.
-    prewarm(&mut sess, &cfgs, jobs, 1, &CancelFlag::new(), false);
+    prewarm(&mut sess, &cfgs, jobs, &CancelFlag::new(), false);
 }
 
 fn main() {

@@ -162,7 +162,7 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     /// fetch boundary), surfaced by [`Simulator::try_run_committed`].
     pending_error: Option<SimError>,
 
-    /// Gated-stepper cache (lane engine, [`Simulator::try_run_committed_ff`]):
+    /// Production-stepper cache ([`Simulator::try_run_committed`]):
     /// the earliest cycle a recovery-buffer member becomes selectable.
     /// Pure scratch — reconstructible, never persisted in snapshots.
     recovery_ready_at: Cycle,
@@ -375,53 +375,36 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// * [`SimError::TraceInvalid`] — the trace source handed fetch a
     ///   malformed µ-op.
     ///
-    /// The simulator must not be used further after an error.
-    pub fn try_run_committed(&mut self, n: u64) -> Result<SimStats, SimError> {
-        let target = self.stats.committed_uops + n;
-        let watchdog = self.cfg.watchdog_cycles;
-        let interval = self.cfg.invariant_check_interval;
-        while self.stats.committed_uops < target {
-            self.tick();
-            if let Some(e) = self.pending_error.take() {
-                return Err(e);
-            }
-            if self.now.since(self.last_commit_at) >= watchdog {
-                return Err(SimError::Deadlock(Box::new(self.deadlock_report())));
-            }
-            if interval > 0 && self.now.get().is_multiple_of(interval) {
-                self.check_invariants()?;
-            }
-        }
-        Ok(self.stats())
-    }
-
-    /// Like [`Self::try_run_committed`], but driven by the lane engine's
-    /// *gated* stepper: each cycle runs only the stages that provably
-    /// have work, the recovery buffer's readiness is tracked by a cached
-    /// horizon instead of a per-cycle scan, and windows where *no* stage
-    /// has work — 30–50% of all cycles on scheduler-bound workloads —
-    /// are fast-forwarded in one jump.
+    /// This is the production stepper: each cycle runs only the stages
+    /// that provably have work (`tick_fast`), the recovery
+    /// buffer's readiness is tracked by a cached horizon instead of a
+    /// per-cycle scan, and windows where *no* stage has work — 30–50% of
+    /// all cycles on scheduler-bound workloads — are fast-forwarded in
+    /// one jump.
     ///
-    /// Produces bit-identical [`SimStats`], error values, and failure
-    /// reports to [`Self::try_run_committed`]: a stage is only skipped
-    /// on cycles where the real `tick` would have early-exited it, the
-    /// fast-forward only covers cycles where a real `tick` would have
-    /// advanced the clock and counted `cycles` (plus `degrade_cycles` /
+    /// It produces bit-identical [`SimStats`], error values, and failure
+    /// reports to the reference model, a plain [`Self::tick`] per cycle
+    /// under `legacy_scan`: a stage is only skipped on cycles where the
+    /// real `tick` would have early-exited it, the fast-forward only
+    /// covers cycles where a real `tick` would have advanced the clock
+    /// and counted `cycles` (plus `degrade_cycles` /
     /// `dispatch_stall_cycles` where those stalls hold) without touching
     /// anything else, and the watchdog and periodic invariant checks
-    /// land on exactly the cycles they would have fired on. Falls back
-    /// to the reference loop under `legacy_scan` (the O(ROB) scan
+    /// land on exactly the cycles they would have fired on. It steps
+    /// the reference loop itself under `legacy_scan` (the O(ROB) scan
     /// touches state every cycle) or an enabled trace sink (per-cycle
     /// occupancy events must be emitted).
-    pub fn try_run_committed_ff(&mut self, n: u64) -> Result<SimStats, SimError> {
+    ///
+    /// The simulator must not be used further after an error.
+    pub fn try_run_committed(&mut self, n: u64) -> Result<SimStats, SimError> {
         if self.legacy_scan || S::ENABLED {
-            return self.try_run_committed(n);
+            return self.run_reference(n);
         }
         let target = self.stats.committed_uops + n;
         let watchdog = self.cfg.watchdog_cycles;
         let interval = self.cfg.invariant_check_interval;
         // Cycles may have been simulated outside this driver (plain
-        // `tick`/`try_run_committed`, or a snapshot restore) since the
+        // `tick`, a traced run, or a snapshot restore) since the
         // cache was last maintained; refresh it before trusting it.
         if self.step_stamp != self.now {
             self.step_dirty = true;
@@ -429,8 +412,13 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         while self.stats.committed_uops < target {
             // Bulk fast-forward, legal only when the cached recovery
             // horizon is current (no stage ran since it was computed).
-            if !self.step_dirty {
-                if let Some((skip, dispatch_stall)) = self.quiet_skip() {
+            let quiet = if self.step_dirty {
+                None
+            } else {
+                self.quiet_skip()
+            };
+            match quiet {
+                Some((skip, dispatch_stall)) => {
                     // Land exactly on the watchdog deadline (the report
                     // must carry the same cycle the per-tick check would
                     // see) and on every invariant-check multiple.
@@ -442,27 +430,39 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                     }
                     self.advance_quiet(skip, dispatch_stall);
                     self.step_stamp = self.now;
-                    if self.now.since(self.last_commit_at) >= watchdog {
-                        return Err(SimError::Deadlock(Box::new(self.deadlock_report())));
-                    }
-                    if interval > 0 && self.now.get().is_multiple_of(interval) {
-                        self.check_invariants()?;
-                    }
-                    continue;
                 }
+                None => self.tick_fast(),
             }
-            self.tick_fast();
-            if let Some(e) = self.pending_error.take() {
-                return Err(e);
-            }
-            if self.now.since(self.last_commit_at) >= watchdog {
-                return Err(SimError::Deadlock(Box::new(self.deadlock_report())));
-            }
-            if interval > 0 && self.now.get().is_multiple_of(interval) {
-                self.check_invariants()?;
-            }
+            self.end_cycle()?;
         }
         Ok(self.stats())
+    }
+
+    /// The reference loop: one full [`Self::tick`] per cycle.
+    fn run_reference(&mut self, n: u64) -> Result<SimStats, SimError> {
+        let target = self.stats.committed_uops + n;
+        while self.stats.committed_uops < target {
+            self.tick();
+            self.end_cycle()?;
+        }
+        Ok(self.stats())
+    }
+
+    /// The checks after every stepped cycle or fast-forwarded stretch:
+    /// an error raised mid-tick, the watchdog, and the periodic
+    /// invariant check.
+    fn end_cycle(&mut self) -> Result<(), SimError> {
+        if let Some(e) = self.pending_error.take() {
+            return Err(e);
+        }
+        if self.now.since(self.last_commit_at) >= self.cfg.watchdog_cycles {
+            return Err(SimError::Deadlock(Box::new(self.deadlock_report())));
+        }
+        let interval = self.cfg.invariant_check_interval;
+        if interval > 0 && self.now.get().is_multiple_of(interval) {
+            self.check_invariants()?;
+        }
+        Ok(())
     }
 
     /// One *gated* cycle: advances the clock like [`Self::tick`], then
@@ -882,7 +882,13 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         Ok(())
     }
 
-    /// Advances the machine one cycle.
+    /// Advances the machine one cycle, running every stage in order.
+    ///
+    /// With [`SimConfig::legacy_scan`] set this is *the* reference
+    /// model: every stage walks its structures in full, with no gating,
+    /// fast-forward or event-driven ready set. The production stepper
+    /// ([`Self::try_run_committed`]) must match it bit for bit, and the
+    /// equivalence suites and `experiments bench` check that it does.
     pub fn tick(&mut self) {
         self.now += 1;
         self.stats.cycles += 1;

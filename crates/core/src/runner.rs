@@ -28,8 +28,11 @@
 //! [`RunRequest::execute_observed`] adds cooperative cancellation (a
 //! [`CancelFlag`] checked between bounded measurement chunks, surfacing
 //! [`SimError::Cancelled`]) and incremental progress callbacks; chunked
-//! execution is bit-identical to a single `try_run_committed` call
-//! because commit targets are computed against absolute commit counts.
+//! execution is bit-identical to a single
+//! [`Simulator::try_run_committed`] call because commit targets are
+//! computed against absolute commit counts. Every chunk steps the
+//! production stepper; the per-tick reference loop runs only when a
+//! trace sink is attached or the config sets `legacy_scan`.
 
 use crate::diff::DiffChecker;
 use crate::fault::FaultPlan;

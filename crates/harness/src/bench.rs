@@ -10,24 +10,25 @@
 //! Each cell runs one kernel on one machine shape under **both**
 //! scheduler implementations and records simulated-cycles-per-second of
 //! wall time, wall time, and the process peak RSS. The grid is then run
-//! *as a whole* two ways — per-cell (the reference `RunRequest` pool
-//! path) and lane-batched ([`ss_core::lane`]: cells sharing a kernel
-//! step through one driver loop over one decoded µ-op stream), both on
-//! one thread — and the aggregate throughput of each lands in the
-//! report's `aggregate` row. Results land as JSON (`BENCH_sched.json`
-//! by default; schema documented in EXPERIMENTS.md).
+//! *as a whole* two ways on one thread — through the production stepper
+//! with the default config, and through the reference model
+//! (`legacy_scan`) — and the aggregate throughput of each lands in the
+//! report's `aggregate` row; the two passes must simulate the same
+//! number of cycles. Results land as JSON (`BENCH_sched.json` by
+//! default; schema documented in EXPERIMENTS.md).
 //! With `--baseline FILE`, the run fails (exit 1) if any cell's
-//! event/legacy speedup ratio — or the aggregate lane/pool ratio, when
-//! the baseline records one — regressed more than `--max-regress`
-//! percent (default 20) against the committed baseline — the ratio, not
-//! absolute throughput, so the gate is stable across host machines. A
+//! event/legacy speedup ratio — or the aggregate production/reference
+//! ratio, when the baseline records one — regressed more than
+//! `--max-regress` percent (default 20) against the committed baseline
+//! — the ratio, not absolute throughput, so the gate is stable across
+//! host machines. A
 //! *missing* baseline file skips the gate with exit 0 (a fresh branch
 //! has nothing to regress against); only a present-but-unreadable
 //! baseline is an error.
 
-use ss_core::{run_lane_batch, LaneCell, RunLength, RunRequest};
+use ss_core::{RunLength, RunRequest};
 use ss_frontend::{ProgramSpec, RvTraceSource};
-use ss_types::{CancelFlag, SimConfig};
+use ss_types::SimConfig;
 use ss_workloads::kernels;
 use ss_workloads::TraceSource as _;
 use std::fmt::Write as _;
@@ -186,66 +187,23 @@ struct AggSample {
     cycles_per_sec: f64,
 }
 
-/// The aggregate-grid comparison the lane engine is gated on: the same
-/// cells run per-cell (the reference `RunRequest` pool path) vs
-/// lane-batched (cells sharing a kernel step through one driver loop
-/// over one decoded µ-op stream), both on one thread.
+/// The aggregate-grid comparison: the same cells run through the
+/// production stepper and through the reference model, both on one
+/// thread.
 struct Aggregate {
     cells: usize,
-    pool: AggSample,
-    lanes: AggSample,
+    production: AggSample,
+    reference: AggSample,
     speedup: f64,
 }
 
-/// One sequential pass over the grid through the per-cell path.
-fn run_pool_pass(cells: &[&Cell], len: RunLength) -> Result<AggSample, String> {
+/// One sequential pass over the grid, through the reference model when
+/// `legacy` is set and the production stepper otherwise.
+fn run_pool_pass(cells: &[&Cell], len: RunLength, legacy: bool) -> Result<AggSample, String> {
     let start = Instant::now();
     let mut sim_cycles = 0u64;
     for cell in cells {
-        let stats = RunRequest::kernel(kernel_spec(cell.kernel))
-            .custom_config(cell_config(cell, false))
-            .length(len)
-            .execute()
-            .map(|o| o.stats)
-            .map_err(|e| format!("{}: pool run failed: {e}", cell.name))?;
-        sim_cycles += stats.cycles;
-    }
-    let wall = start.elapsed();
-    Ok(AggSample {
-        sim_cycles,
-        wall_ms: wall.as_secs_f64() * 1_000.0,
-        cycles_per_sec: sim_cycles as f64 / wall.as_secs_f64().max(1e-9),
-    })
-}
-
-/// One pass over the grid through the lane engine: cells sharing a
-/// kernel become one batch (the grid's widest batch is the lane width).
-fn run_lane_pass(cells: &[&Cell], len: RunLength) -> Result<AggSample, String> {
-    let mut groups: Vec<(&'static str, Vec<&Cell>)> = Vec::new();
-    for cell in cells {
-        match groups.iter_mut().find(|(k, _)| *k == cell.kernel) {
-            Some((_, v)) => v.push(cell),
-            None => groups.push((cell.kernel, vec![cell])),
-        }
-    }
-    let start = Instant::now();
-    let mut sim_cycles = 0u64;
-    for (kernel, group) in &groups {
-        let lane_cells = group
-            .iter()
-            .map(|c| LaneCell::new(cell_config(c, false), len))
-            .collect();
-        let results = run_lane_batch(
-            lane_cells,
-            group.len(),
-            || kernel_spec(kernel).into_source(),
-            &CancelFlag::new(),
-            |_, _, _| {},
-        );
-        for (cell, r) in group.iter().zip(results) {
-            let stats = r.map_err(|e| format!("{}: lane run failed: {e}", cell.name))?;
-            sim_cycles += stats.cycles;
-        }
+        sim_cycles += run_one(cell, legacy, len)?.sim_cycles;
     }
     let wall = start.elapsed();
     Ok(AggSample {
@@ -256,33 +214,35 @@ fn run_lane_pass(cells: &[&Cell], len: RunLength) -> Result<AggSample, String> {
 }
 
 /// Best-of-3 aggregate comparison, interleaved like the per-cell grid.
+/// Fails if the two passes disagree on simulated cycles: the production
+/// stepper must be bit-identical to the reference model.
 fn run_aggregate(cells: &[&Cell], len: RunLength) -> Result<Aggregate, String> {
-    let mut pool: Option<AggSample> = None;
-    let mut lanes: Option<AggSample> = None;
+    let mut best: [Option<AggSample>; 2] = [None, None];
     for _rep in 0..3 {
-        let p = run_pool_pass(cells, len)?;
-        if pool
-            .as_ref()
-            .is_none_or(|b| p.cycles_per_sec > b.cycles_per_sec)
-        {
-            pool = Some(p);
-        }
-        let l = run_lane_pass(cells, len)?;
-        if lanes
-            .as_ref()
-            .is_none_or(|b| l.cycles_per_sec > b.cycles_per_sec)
-        {
-            lanes = Some(l);
+        for (slot, legacy) in [(0usize, false), (1, true)] {
+            let s = run_pool_pass(cells, len, legacy)?;
+            if best[slot]
+                .as_ref()
+                .is_none_or(|b| s.cycles_per_sec > b.cycles_per_sec)
+            {
+                best[slot] = Some(s);
+            }
         }
     }
-    let (Some(pool), Some(lanes)) = (pool, lanes) else {
+    let [Some(production), Some(reference)] = best else {
         unreachable!("three reps filled both slots")
     };
-    let speedup = lanes.cycles_per_sec / pool.cycles_per_sec.max(1e-9);
+    if production.sim_cycles != reference.sim_cycles {
+        return Err(format!(
+            "production stepper simulated {} cycles, reference model {}",
+            production.sim_cycles, reference.sim_cycles
+        ));
+    }
+    let speedup = production.cycles_per_sec / reference.cycles_per_sec.max(1e-9);
     Ok(Aggregate {
         cells: cells.len(),
-        pool,
-        lanes,
+        production,
+        reference,
         speedup,
     })
 }
@@ -337,10 +297,10 @@ fn agg_sample_json(s: &AggSample) -> String {
 
 fn aggregate_json(a: &Aggregate) -> String {
     format!(
-        "{{\"cells\": {}, \"pool\": {}, \"lane\": {}, \"speedup\": {:.3}}}",
+        "{{\"cells\": {}, \"production\": {}, \"reference\": {}, \"speedup\": {:.3}}}",
         a.cells,
-        agg_sample_json(&a.pool),
-        agg_sample_json(&a.lanes),
+        agg_sample_json(&a.production),
+        agg_sample_json(&a.reference),
         a.speedup
     )
 }
@@ -386,7 +346,7 @@ fn report_json(
     out
 }
 
-/// Reads the baseline's aggregate lane/pool speedup, if the document
+/// Reads the baseline's aggregate production/reference speedup, if the document
 /// carries one (`None` on baselines written before the aggregate row —
 /// the gate then skips that check rather than failing on an older
 /// baseline).
@@ -560,8 +520,8 @@ pub fn run_cli(args: &[String]) -> i32 {
         "frontend_rv_sort", frontend.uops_per_sec, frontend.uops
     );
 
-    // Aggregate-grid throughput: the whole selected grid per-cell vs
-    // lane-batched, one thread each, best-of-3.
+    // Aggregate-grid throughput: the whole selected grid through the
+    // production stepper vs the reference model, one thread, best-of-3.
     let grid: Vec<&Cell> = GRID
         .iter()
         .filter(|c| only.as_deref().is_none_or(|o| c.name.contains(o)))
@@ -574,8 +534,11 @@ pub fn run_cli(args: &[String]) -> i32 {
         }
     };
     println!(
-        "  {:<24} pool {:>10.0} c/s  lane {:>12.0} c/s  speedup {:.2}x",
-        "aggregate_grid", aggregate.pool.cycles_per_sec, aggregate.lanes.cycles_per_sec, aggregate.speedup
+        "  {:<24} prod  {:>10.0} c/s  ref    {:>10.0} c/s  speedup {:.2}x",
+        "aggregate_grid",
+        aggregate.production.cycles_per_sec,
+        aggregate.reference.cycles_per_sec,
+        aggregate.speedup
     );
 
     let doc = report_json(&results, &frontend, &aggregate, len);
@@ -624,14 +587,14 @@ pub fn run_cli(args: &[String]) -> i32 {
                 failed = true;
             }
         }
-        // Aggregate lane/pool ratio: gated only when the baseline
+        // Aggregate production/reference ratio: gated only when the baseline
         // records one (additive key — older baselines skip this check).
         match baseline_aggregate_speedup(&base_path) {
             Ok(Some(base_agg)) => {
                 let floor = base_agg * (1.0 - max_regress_pct / 100.0);
                 if aggregate.speedup < floor {
                     eprintln!(
-                        "FAIL: aggregate_grid: lane/pool speedup {:.2}x fell below {floor:.2}x \
+                        "FAIL: aggregate_grid: production/reference speedup {:.2}x fell below {floor:.2}x \
                          (baseline {base_agg:.2}x − {max_regress_pct}%)",
                         aggregate.speedup
                     );
@@ -695,15 +658,15 @@ mod tests {
         };
         let aggregate = Aggregate {
             cells: 5,
-            pool: AggSample {
-                sim_cycles: 5_000,
-                wall_ms: 10.0,
-                cycles_per_sec: 500_000.0,
-            },
-            lanes: AggSample {
+            production: AggSample {
                 sim_cycles: 5_000,
                 wall_ms: 8.0,
                 cycles_per_sec: 625_000.0,
+            },
+            reference: AggSample {
+                sim_cycles: 5_000,
+                wall_ms: 10.0,
+                cycles_per_sec: 500_000.0,
             },
             speedup: 1.25,
         };
@@ -748,7 +711,7 @@ mod tests {
             "the aggregate CI gate reads this field"
         );
         assert_eq!(
-            agg.get("lane")
+            agg.get("production")
                 .and_then(|l| l.get("cycles_per_sec"))
                 .and_then(|v| v.as_num()),
             Some(625_000.0)

@@ -12,13 +12,13 @@
 //!             [--max-regress PCT]
 //! experiments snapfuzz [--seeds N] [--seed S]
 //! experiments serve --socket PATH [--jobs N] [--queue-depth D]
-//!             [--checkpoint-dir DIR] [--lanes K]
+//!             [--checkpoint-dir DIR]
 //! experiments client --socket PATH [--id ID] [--prio CLASS]
 //!             [--cancel-after N] [--stats] [--shutdown] [--req TEXT]
 //! experiments run --req TEXT
 //! experiments chaos [--seed N] [--events N] [--dir DIR]
 //! experiments rvrun [--prog SPEC] [--config SPEC]... [--all] [--delay D]
-//!             [--len wNmN] [--smoke] [--no-check] [--jobs N] [--lanes K]
+//!             [--len wNmN] [--smoke] [--no-check] [--jobs N]
 //! ```
 //!
 //! Results print as ASCII tables; CSVs land in `--out` (default
@@ -39,7 +39,7 @@
 //! (cells done / total, aggregate sim-cycles/sec) is drawn on stderr.
 
 use ss_core::RunLength;
-use ss_harness::{exec, experiments, Report, Session};
+use ss_harness::{exec, experiments, flag_value, Report, Session};
 use ss_types::CancelFlag;
 use std::path::PathBuf;
 
@@ -86,54 +86,43 @@ fn main() {
     let mut cache = true;
     let mut progress = true;
     let mut jobs = ss_types::exec::default_jobs();
-    let mut lanes: Option<usize> = None;
     let mut out = PathBuf::from("results");
     let mut checkpoint_dir: Option<PathBuf> = None;
     let mut resume = false;
+    let usage = format!(
+        "usage: experiments [{}|all]... [--jobs N] [--quick] [--smoke] [--out DIR] [--no-cache] [--no-progress] [--checkpoint-dir DIR] [--resume]",
+        experiments::EXPERIMENTS
+            .iter()
+            .map(|e| e.id)
+            .collect::<Vec<_>>()
+            .join("|")
+    );
     let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--smoke" => smoke = true,
-            "--no-cache" => cache = false,
-            "--no-progress" => progress = false,
-            "--jobs" | "-j" => {
-                jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a worker count")
-            }
-            "--lanes" => {
-                let k = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--lanes needs a lane count");
-                if let Err(e) = ss_core::validate_lanes(k) {
-                    eprintln!("{e}");
-                    std::process::exit(2);
+    let parsed = (|| -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--quick" => quick = true,
+                "--smoke" => smoke = true,
+                "--no-cache" => cache = false,
+                "--no-progress" => progress = false,
+                "--jobs" | "-j" => jobs = flag_value("--jobs", it.next())?,
+                "--out" => out = flag_value("--out", it.next())?,
+                "--checkpoint-dir" => {
+                    checkpoint_dir = Some(flag_value("--checkpoint-dir", it.next())?)
                 }
-                lanes = Some(k);
+                "--resume" => resume = true,
+                "--help" | "-h" => {
+                    eprintln!("{usage}");
+                    std::process::exit(0);
+                }
+                other => which.push(other.to_string()),
             }
-            "--out" => out = PathBuf::from(it.next().expect("--out needs a directory")),
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(PathBuf::from(
-                    it.next().expect("--checkpoint-dir needs a directory"),
-                ))
-            }
-            "--resume" => resume = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments [{}|all]... [--jobs N] [--lanes K] [--quick] [--smoke] [--out DIR] [--no-cache] [--no-progress] [--checkpoint-dir DIR] [--resume]",
-                    experiments::EXPERIMENTS
-                        .iter()
-                        .map(|e| e.id)
-                        .collect::<Vec<_>>()
-                        .join("|")
-                );
-                return;
-            }
-            other => which.push(other.to_string()),
         }
+        Ok(())
+    })();
+    if let Err(e) = parsed {
+        eprintln!("error: {e}\n{usage}");
+        std::process::exit(2);
     }
     if which.is_empty() {
         which.push("all".to_string());
@@ -196,8 +185,7 @@ fn main() {
     if jobs > 1 {
         let cfgs: Vec<_> = selected.iter().flat_map(|e| (e.plan)()).collect();
         let cancel = CancelFlag::new();
-        let lanes = lanes.unwrap_or_else(|| ss_core::default_lanes(cfgs.len()));
-        let stats = exec::prewarm(&mut sess, &cfgs, jobs, lanes, &cancel, progress);
+        let stats = exec::prewarm(&mut sess, &cfgs, jobs, &cancel, progress);
         eprintln!(
             "[prewarm: {} cells across {jobs} workers, {:.1}s, {:.1}M sim-cycles/s{}]",
             stats.cells,

@@ -29,6 +29,7 @@
 //! The event schedule and a full transcript are written to the working
 //! directory (CI uploads them as artifacts on failure).
 
+use crate::flag_value;
 use crate::journal::SweepJournal;
 use crate::serve::{stats_to_wire, ServeOptions, Server};
 use crate::session::stats_to_cache_file;
@@ -486,40 +487,43 @@ pub fn run_chaos_cli(args: &[String]) -> i32 {
     let mut events: usize = 12;
     let mut dir: Option<PathBuf> = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| {
-                        v.strip_prefix("0x")
-                            .map_or_else(|| v.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
-                    })
-                    .expect("--seed needs a number")
+    let parsed = (|| -> Result<Option<i32>, String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--seed" => {
+                    let v: String = flag_value("--seed", it.next())?;
+                    seed = v
+                        .strip_prefix("0x")
+                        .map_or_else(|| v.parse().ok(), |h| u64::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| format!("--seed: invalid value `{v}`"))?;
+                }
+                "--events" => events = flag_value("--events", it.next())?,
+                "--dir" => dir = Some(flag_value("--dir", it.next())?),
+                "--help" | "-h" => {
+                    eprintln!(
+                        "usage: experiments chaos [--seed N] [--events N] [--dir DIR]\n\
+                         \n\
+                         flags (with defaults):\n\
+                         \x20 --seed N     fault-schedule seed (0xc4a05)\n\
+                         \x20 --events N   scheduled events before the fixed phases (12)\n\
+                         \x20 --dir DIR    working directory for the socket, schedule,\n\
+                         \x20              and transcript (temp dir)"
+                    );
+                    return Ok(Some(0));
+                }
+                other => {
+                    return Err(format!("unknown chaos flag `{other}`"));
+                }
             }
-            "--events" => {
-                events = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--events needs a count")
-            }
-            "--dir" => dir = Some(PathBuf::from(it.next().expect("--dir needs a directory"))),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments chaos [--seed N] [--events N] [--dir DIR]\n\
-                     \n\
-                     flags (with defaults):\n\
-                     \x20 --seed N     fault-schedule seed (0xc4a05)\n\
-                     \x20 --events N   scheduled events before the fixed phases (12)\n\
-                     \x20 --dir DIR    working directory for the socket, schedule,\n\
-                     \x20              and transcript (temp dir)"
-                );
-                return 0;
-            }
-            other => {
-                eprintln!("unknown chaos flag `{other}`");
-                return 2;
-            }
+        }
+        Ok(None)
+    })();
+    match parsed {
+        Ok(Some(code)) => return code,
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
         }
     }
     let dir = dir.unwrap_or_else(|| {

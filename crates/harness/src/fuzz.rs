@@ -11,24 +11,31 @@
 //! failure class persists) and writes a plain-text repro file that
 //! `experiments fuzz --repro <file>` replays.
 //!
-//! Every cell runs with a bounded [`RingSink`] trace attached, so a
-//! failing cell's [`DivergenceReport`](ss_types::DivergenceReport) /
+//! Every cell runs twice with the same oracle and fault plan. The first
+//! run has a bounded [`RingSink`] trace attached, so a failing cell's
+//! [`DivergenceReport`](ss_types::DivergenceReport) /
 //! [`DeadlockReport`](ss_types::DeadlockReport) carries the trailing
 //! pipeline-event window and each repro file gets a
 //! `repro-<seed>.trace.txt` pipeview sidecar — a replayable picture of
-//! the cycles leading up to the failure.
+//! the cycles leading up to the failure. An enabled sink makes the
+//! simulator step its per-tick reference loop, so the second run, with
+//! no sink, is what exercises the production stepper: the two must end
+//! with equal statistics, or fail with the same error class at the same
+//! commit count. Anything else is a [`SimError::StepperMismatch`], which
+//! shrinks and replays like every other failure class.
 //!
 //! Cells are sharded across worker threads with the same
 //! [`ss_types::exec`] pool the experiment matrix uses; shrinking runs
 //! sequentially afterwards (failures are rare and shrink runs are
 //! cheap).
 
-use crate::session::CellFailure;
+use crate::session::{stats_to_kv, CellFailure};
 use ss_core::{FaultPlan, RunLength, RunRequest};
 use ss_trace::{pipeview, RingSink, TraceEvent};
 use ss_types::exec::{scoped_workers, WorkQueue};
 use ss_types::{
-    ReplayScheme, SchedPolicyKind, ShiftPolicy, SimConfig, SimError, SplitMix64, Xoshiro256,
+    ReplayScheme, SchedPolicyKind, ShiftPolicy, SimConfig, SimError, SimStats, SplitMix64,
+    Xoshiro256,
 };
 use ss_workloads::{gen, KernelSpec};
 use std::path::{Path, PathBuf};
@@ -234,18 +241,26 @@ impl FuzzCell {
     }
 }
 
-/// Runs one cell with the differential oracle attached. `Ok(())` means
-/// the cell completed with every commit verified; panics are caught and
-/// come back as [`SimError::Panicked`].
+/// Runs one cell with the differential oracle attached, once through
+/// the traced reference loop and once through the production stepper.
+/// `Ok(())` means both completed with every commit verified and equal
+/// statistics; panics are caught and come back as
+/// [`SimError::Panicked`].
 pub fn run_cell(cell: &FuzzCell) -> Result<(), SimError> {
+    let reference = run_once(cell, true);
+    let production = run_once(cell, false);
+    stepper_verdict(reference, production)
+}
+
+/// One oracle-checked run of `cell`. `traced` attaches a bounded ring
+/// trace, so failure reports carry the trailing pipeline-event window.
+fn run_once(cell: &FuzzCell, traced: bool) -> Result<SimStats, SimError> {
     let cfg = cell.config()?;
     let spec = cell.kernel();
     let plan = cell.fault_plan();
     let run = cell.run;
     let seed_bug = cell.seed_bug;
-    let outcome = std::panic::catch_unwind(move || -> Result<(), SimError> {
-        // Bounded ring trace: failure reports carry the trailing
-        // pipeline-event window at negligible steady-state cost.
+    let outcome = std::panic::catch_unwind(move || -> Result<SimStats, SimError> {
         let mut req = RunRequest::kernel(spec)
             .custom_config(cfg)
             .length(RunLength {
@@ -253,12 +268,14 @@ pub fn run_cell(cell: &FuzzCell) -> Result<(), SimError> {
                 measure: run,
             })
             .checked(true)
-            .ring_trace(RingSink::DEFAULT_CAPACITY)
             .faults(plan);
+        if traced {
+            req = req.ring_trace(RingSink::DEFAULT_CAPACITY);
+        }
         if seed_bug {
             req = req.seed_wakeup_bug();
         }
-        req.execute().map(|_| ())
+        req.execute().map(|o| o.stats)
     });
     match outcome {
         Ok(r) => r,
@@ -271,6 +288,61 @@ pub fn run_cell(cell: &FuzzCell) -> Result<(), SimError> {
                 .to_string();
             Err(SimError::Panicked(msg))
         }
+    }
+}
+
+/// Classifies a reference/production outcome pair. Equal statistics
+/// pass; the same error class at the same commit count is that error
+/// (the reference's, which carries the trace window); anything else is
+/// a [`SimError::StepperMismatch`] naming what differs.
+fn stepper_verdict(
+    reference: Result<SimStats, SimError>,
+    production: Result<SimStats, SimError>,
+) -> Result<(), SimError> {
+    let what = match (reference, production) {
+        (Ok(r), Ok(p)) if r == p => return Ok(()),
+        (Ok(r), Ok(p)) => {
+            let (r, p) = (stats_to_kv(&r), stats_to_kv(&p));
+            r.lines()
+                .zip(p.lines())
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| {
+                    let value = b.rsplit(' ').next().unwrap_or("");
+                    format!("{a} ≠ {value}")
+                })
+                .collect::<Vec<_>>()
+                .join(", ")
+        }
+        (Err(r), Err(p)) if same_class(&r, &p) && error_committed(&r) == error_committed(&p) => {
+            return Err(r)
+        }
+        (r, p) => format!(
+            "reference {}; production {}",
+            outcome_line(&r),
+            outcome_line(&p)
+        ),
+    };
+    Err(SimError::StepperMismatch(what))
+}
+
+/// How far a failed run got, for the error classes that record it.
+fn error_committed(e: &SimError) -> Option<u64> {
+    match e {
+        SimError::Deadlock(r) => Some(r.snapshot.committed),
+        SimError::InvariantViolation(r) => Some(r.snapshot.committed),
+        SimError::Divergence(r) => Some(r.snapshot.committed),
+        SimError::Cancelled { committed } | SimError::DeadlineExceeded { committed, .. } => {
+            Some(*committed)
+        }
+        _ => None,
+    }
+}
+
+/// One-line summary of a run outcome for a mismatch report.
+fn outcome_line(outcome: &Result<SimStats, SimError>) -> String {
+    match outcome {
+        Ok(s) => format!("ok ({} cycles)", s.cycles),
+        Err(e) => e.to_string().lines().next().unwrap_or("").to_string(),
     }
 }
 
@@ -874,6 +946,49 @@ mod tests {
         let (back, seq) = parse_repro(&text).expect("parses");
         assert_eq!(back, cell);
         assert_eq!(seq, Some(17));
+    }
+
+    #[test]
+    fn stepper_verdict_classifies_outcome_pairs() {
+        let a = SimStats {
+            cycles: 100,
+            committed_uops: 40,
+            ..SimStats::default()
+        };
+        assert_eq!(stepper_verdict(Ok(a.clone()), Ok(a.clone())), Ok(()));
+        let b = SimStats {
+            cycles: 101,
+            ..a.clone()
+        };
+        match stepper_verdict(Ok(a.clone()), Ok(b)) {
+            Err(SimError::StepperMismatch(what)) => assert_eq!(what, "cycles 100 ≠ 101"),
+            other => panic!("differing stats must be a stepper mismatch, got {other:?}"),
+        }
+        let deadlock = |committed| {
+            SimError::Deadlock(Box::new(ss_types::DeadlockReport {
+                snapshot: ss_types::PipelineSnapshot {
+                    committed,
+                    ..Default::default()
+                },
+                watchdog_cycles: 2,
+                detail: String::new(),
+                trace: vec![],
+                checkpoint: None,
+            }))
+        };
+        assert_eq!(
+            stepper_verdict(Err(deadlock(7)), Err(deadlock(7))),
+            Err(deadlock(7)),
+            "an agreed failure is reported as itself"
+        );
+        assert!(matches!(
+            stepper_verdict(Err(deadlock(7)), Err(deadlock(8))),
+            Err(SimError::StepperMismatch(_))
+        ));
+        assert!(matches!(
+            stepper_verdict(Ok(a), Err(deadlock(7))),
+            Err(SimError::StepperMismatch(_))
+        ));
     }
 
     #[test]

@@ -67,3 +67,17 @@ pub use fuzz::{FuzzCell, FuzzOptions, FuzzOutcome, FuzzReport};
 pub use report::{gmean, Report, Table};
 pub use serve::{ServeOptions, Server};
 pub use session::{CellFailure, Session};
+
+/// Parses the value that follows a command-line `flag`. A missing or
+/// unparsable value is a usage error that names the flag, so a bad
+/// command line exits with a typed message instead of a panic.
+pub fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    value: Option<impl AsRef<str>>,
+) -> Result<T, String> {
+    let value = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    let value = value.as_ref();
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: invalid value `{value}`"))
+}

@@ -79,6 +79,7 @@
 //! `experiments chaos` harness drives every one of these paths against
 //! a real server under a seeded fault schedule.
 
+use crate::flag_value;
 use crate::journal::SweepJournal;
 use crate::session::{stats_from_cache_file, stats_from_kv, stats_to_kv, WORKLOAD_SEED};
 use ss_core::{RunLength, RunRequest};
@@ -131,10 +132,6 @@ pub struct ServeOptions {
     /// Enables the `poison` protocol verb (deliberately kills a worker
     /// thread to exercise supervisor respawn). Chaos testing only.
     pub allow_poison: bool,
-    /// Lane width for batched sweep execution ([`ss_core::lane`]):
-    /// how many same-workload cells one worker steps through a single
-    /// driver loop. `1` disables batching.
-    pub lanes: usize,
 }
 
 impl Default for ServeOptions {
@@ -150,7 +147,6 @@ impl Default for ServeOptions {
             write_timeout_ms: 5_000,
             drain_grace_ms: 5_000,
             allow_poison: false,
-            lanes: 1,
         }
     }
 }
@@ -190,9 +186,6 @@ impl ServeOptions {
                 "serve: read/write timeouts must be ≥ 1 ms (0 busy-spins or blocks forever)".into(),
             );
         }
-        // Lane width shares the core-side bounds (0 and absurd K are
-        // both rejected before any worker exists to misuse them).
-        ss_core::validate_lanes(self.lanes)?;
         Ok(())
     }
 }
@@ -1211,87 +1204,61 @@ pub fn run_serve_cli(args: &[String]) -> i32 {
         ..ServeOptions::default()
     };
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => opts.socket = PathBuf::from(it.next().expect("--socket needs a path")),
-            "--jobs" | "-j" => {
-                opts.jobs = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a worker count")
+    let parsed = (|| -> Result<Option<i32>, String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--socket" => opts.socket = flag_value("--socket", it.next())?,
+                "--jobs" | "-j" => opts.jobs = flag_value("--jobs", it.next())?,
+                "--queue-depth" => opts.queue_depth = flag_value("--queue-depth", it.next())?,
+                "--checkpoint-dir" => {
+                    opts.checkpoint_dir = Some(flag_value("--checkpoint-dir", it.next())?)
+                }
+                "--interactive-max-ms" => {
+                    opts.interactive_max_ms = flag_value("--interactive-max-ms", it.next())?
+                }
+                "--bulk-min-ms" => opts.bulk_min_ms = flag_value("--bulk-min-ms", it.next())?,
+                "--read-timeout-ms" => {
+                    opts.read_timeout_ms = flag_value("--read-timeout-ms", it.next())?
+                }
+                "--write-timeout-ms" => {
+                    opts.write_timeout_ms = flag_value("--write-timeout-ms", it.next())?
+                }
+                "--drain-grace-ms" => {
+                    opts.drain_grace_ms = flag_value("--drain-grace-ms", it.next())?
+                }
+                "--allow-poison" => opts.allow_poison = true,
+                "--help" | "-h" => {
+                    eprintln!(
+                        "usage: experiments serve --socket PATH [flags]\n\
+                         \n\
+                         flags (with defaults):\n\
+                         \x20 --socket PATH            socket path (experiments.sock)\n\
+                         \x20 --jobs N                 worker threads (cores - 1)\n\
+                         \x20 --queue-depth D          admission bound (64)\n\
+                         \x20 --checkpoint-dir DIR     preload results from a sweep checkpoint\n\
+                         \x20 --interactive-max-ms MS  interactive cost ceiling (200)\n\
+                         \x20 --bulk-min-ms MS         bulk cost floor (2000)\n\
+                         \x20 --read-timeout-ms MS     reader liveness poll (1000)\n\
+                         \x20 --write-timeout-ms MS    reply-write bound before a client\n\
+                         \x20                          counts as vanished (5000)\n\
+                         \x20 --drain-grace-ms MS      graceful-shutdown budget (5000)\n\
+                         \x20 --allow-poison           enable the `poison` chaos verb (off)"
+                    );
+                    return Ok(Some(0));
+                }
+                other => {
+                    return Err(format!("unknown serve flag `{other}`"));
+                }
             }
-            "--queue-depth" => {
-                opts.queue_depth = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--queue-depth needs a count")
-            }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(PathBuf::from(
-                    it.next().expect("--checkpoint-dir needs a directory"),
-                ))
-            }
-            "--interactive-max-ms" => {
-                opts.interactive_max_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--interactive-max-ms needs a millisecond count")
-            }
-            "--bulk-min-ms" => {
-                opts.bulk_min_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--bulk-min-ms needs a millisecond count")
-            }
-            "--read-timeout-ms" => {
-                opts.read_timeout_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--read-timeout-ms needs a millisecond count")
-            }
-            "--write-timeout-ms" => {
-                opts.write_timeout_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--write-timeout-ms needs a millisecond count")
-            }
-            "--drain-grace-ms" => {
-                opts.drain_grace_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--drain-grace-ms needs a millisecond count")
-            }
-            "--allow-poison" => opts.allow_poison = true,
-            "--lanes" => {
-                opts.lanes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--lanes needs a lane count")
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments serve --socket PATH [flags]\n\
-                     \n\
-                     flags (with defaults):\n\
-                     \x20 --socket PATH            socket path (experiments.sock)\n\
-                     \x20 --jobs N                 worker threads (cores - 1)\n\
-                     \x20 --queue-depth D          admission bound (64)\n\
-                     \x20 --checkpoint-dir DIR     preload results from a sweep checkpoint\n\
-                     \x20 --interactive-max-ms MS  interactive cost ceiling (200)\n\
-                     \x20 --bulk-min-ms MS         bulk cost floor (2000)\n\
-                     \x20 --read-timeout-ms MS     reader liveness poll (1000)\n\
-                     \x20 --write-timeout-ms MS    reply-write bound before a client\n\
-                     \x20                          counts as vanished (5000)\n\
-                     \x20 --drain-grace-ms MS      graceful-shutdown budget (5000)\n\
-                     \x20 --allow-poison           enable the `poison` chaos verb (off)\n\
-                     \x20 --lanes K                lane width for batched sweeps (1 = off)"
-                );
-                return 0;
-            }
-            other => {
-                eprintln!("unknown serve flag `{other}`");
-                return 2;
-            }
+        }
+        Ok(None)
+    })();
+    match parsed {
+        Ok(Some(code)) => return code,
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
         }
     }
     let server = match Server::start(opts) {
@@ -1344,82 +1311,55 @@ pub fn run_client_cli(args: &[String]) -> i32 {
     let mut want_health = false;
     let mut want_shutdown = false;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = PathBuf::from(it.next().expect("--socket needs a path")),
-            "--id" => id = it.next().expect("--id needs a token").clone(),
-            "--prio" => prio = Some(it.next().expect("--prio needs a class").clone()),
-            "--req" => req = Some(it.next().expect("--req needs request text").clone()),
-            "--cancel-after" => {
-                cancel_after = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--cancel-after needs a progress-line count"),
-                )
+    let parsed = (|| -> Result<Option<i32>, String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--socket" => socket = flag_value("--socket", it.next())?,
+                "--id" => id = flag_value("--id", it.next())?,
+                "--prio" => prio = Some(flag_value("--prio", it.next())?),
+                "--req" => req = Some(flag_value("--req", it.next())?),
+                "--cancel-after" => cancel_after = Some(flag_value("--cancel-after", it.next())?),
+                "--deadline-ms" => deadline_ms = Some(flag_value("--deadline-ms", it.next())?),
+                "--retries" => retries = flag_value("--retries", it.next())?,
+                "--retry-base-ms" => retry_base_ms = flag_value("--retry-base-ms", it.next())?,
+                "--retry-cap-ms" => retry_cap_ms = flag_value("--retry-cap-ms", it.next())?,
+                "--retry-seed" => retry_seed = flag_value("--retry-seed", it.next())?,
+                "--timeout-ms" => timeout_ms = flag_value("--timeout-ms", it.next())?,
+                "--stats" => want_stats = true,
+                "--health" => want_health = true,
+                "--shutdown" => want_shutdown = true,
+                "--help" | "-h" => {
+                    eprintln!(
+                        "usage: experiments client --socket PATH [flags]\n\
+                         \n\
+                         flags (with defaults):\n\
+                         \x20 --req 'src=... cfg=... len=...'  request to run\n\
+                         \x20 --id ID                  request id token (r1)\n\
+                         \x20 --prio P                 interactive|normal|bulk (server EMA)\n\
+                         \x20 --deadline-ms MS         arm a wall-clock deadline on the request\n\
+                         \x20 --cancel-after N         cancel after N progress lines\n\
+                         \x20 --retries N              retry budget for connect/overloaded (3)\n\
+                         \x20 --retry-base-ms MS       backoff base delay (100)\n\
+                         \x20 --retry-cap-ms MS        backoff delay cap (5000)\n\
+                         \x20 --retry-seed N           backoff jitter seed (0x5EED)\n\
+                         \x20 --timeout-ms MS          overall wall budget, 0 = unlimited (0)\n\
+                         \x20 --stats | --health | --shutdown   control verbs"
+                    );
+                    return Ok(Some(0));
+                }
+                other => {
+                    return Err(format!("unknown client flag `{other}`"));
+                }
             }
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--deadline-ms needs a millisecond count"),
-                )
-            }
-            "--retries" => {
-                retries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retries needs a count")
-            }
-            "--retry-base-ms" => {
-                retry_base_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retry-base-ms needs a millisecond count")
-            }
-            "--retry-cap-ms" => {
-                retry_cap_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retry-cap-ms needs a millisecond count")
-            }
-            "--retry-seed" => {
-                retry_seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--retry-seed needs a number")
-            }
-            "--timeout-ms" => {
-                timeout_ms = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--timeout-ms needs a millisecond count")
-            }
-            "--stats" => want_stats = true,
-            "--health" => want_health = true,
-            "--shutdown" => want_shutdown = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: experiments client --socket PATH [flags]\n\
-                     \n\
-                     flags (with defaults):\n\
-                     \x20 --req 'src=... cfg=... len=...'  request to run\n\
-                     \x20 --id ID                  request id token (r1)\n\
-                     \x20 --prio P                 interactive|normal|bulk (server EMA)\n\
-                     \x20 --deadline-ms MS         arm a wall-clock deadline on the request\n\
-                     \x20 --cancel-after N         cancel after N progress lines\n\
-                     \x20 --retries N              retry budget for connect/overloaded (3)\n\
-                     \x20 --retry-base-ms MS       backoff base delay (100)\n\
-                     \x20 --retry-cap-ms MS        backoff delay cap (5000)\n\
-                     \x20 --retry-seed N           backoff jitter seed (0x5EED)\n\
-                     \x20 --timeout-ms MS          overall wall budget, 0 = unlimited (0)\n\
-                     \x20 --stats | --health | --shutdown   control verbs"
-                );
-                return 0;
-            }
-            other => {
-                eprintln!("unknown client flag `{other}`");
-                return 2;
-            }
+        }
+        Ok(None)
+    })();
+    match parsed {
+        Ok(Some(code)) => return code,
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
         }
     }
     // Arm the deadline by round-tripping through the typed request, so
@@ -1599,17 +1539,27 @@ fn client_attempt(
 pub fn run_offline_cli(args: &[String]) -> i32 {
     let mut req: Option<String> = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--req" => req = Some(it.next().expect("--req needs request text").clone()),
-            "--help" | "-h" => {
-                eprintln!("usage: experiments run --req 'src=... cfg=... len=...'");
-                return 0;
+    let parsed = (|| -> Result<Option<i32>, String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--req" => req = Some(flag_value("--req", it.next())?),
+                "--help" | "-h" => {
+                    eprintln!("usage: experiments run --req 'src=... cfg=... len=...'");
+                    return Ok(Some(0));
+                }
+                other => {
+                    return Err(format!("unknown run flag `{other}`"));
+                }
             }
-            other => {
-                eprintln!("unknown run flag `{other}`");
-                return 2;
-            }
+        }
+        Ok(None)
+    })();
+    match parsed {
+        Ok(Some(code)) => return code,
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
         }
     }
     let Some(text) = req else {

@@ -23,9 +23,9 @@
 
 use crate::configs::NamedConfig;
 use crate::journal::SweepJournal;
-use ss_core::{run_lane_batch, LaneCell, RunLength, RunRequest};
+use ss_core::{RunLength, RunRequest};
 use ss_snapshot::Snapshot;
-use ss_types::{CacheStats, CancelFlag, SimConfig, SimError, SimStats};
+use ss_types::{CacheStats, SimConfig, SimError, SimStats};
 use ss_workloads::{Benchmark, KernelSpec, BENCHMARKS};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -222,55 +222,12 @@ impl Session {
     /// whole sweep down. A cell that already failed in this session is
     /// not re-simulated; the recorded error is returned again.
     pub fn try_run(&mut self, cfg: &NamedConfig, bench: &Benchmark) -> Result<SimStats, SimError> {
-        if let Some(recalled) = self.try_recall(cfg, bench) {
-            return recalled;
-        }
-        let config = cfg.config.clone();
-        let len = self.len;
-        let warm_path = self.warm_path(&cfg.name, bench.name);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_cell(
-                config,
-                (bench.build)(WORKLOAD_SEED),
-                warm_path.as_deref(),
-                len,
-            )
-        }));
-        let outcome = match outcome {
-            Ok(Ok((s, forked))) => {
-                self.warm_forked += u64::from(forked);
-                Ok(s)
-            }
-            Ok(Err(e)) => Err(e),
-            Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .map(String::as_str)
-                    .or_else(|| payload.downcast_ref::<&str>().copied())
-                    .unwrap_or("opaque panic payload")
-                    .to_string();
-                Err(SimError::Panicked(msg))
-            }
-        };
-        self.record_run(cfg, bench, outcome)
-    }
-
-    /// Recall-only front half of [`Session::try_run`]: serves the cell
-    /// from the in-memory result map, the memoized-failure map, or the
-    /// on-disk cache. `None` means the cell is fresh and must be
-    /// simulated (stale cache entries were deleted, corrupt ones
-    /// quarantined, exactly as `try_run` would).
-    pub fn try_recall(
-        &mut self,
-        cfg: &NamedConfig,
-        bench: &Benchmark,
-    ) -> Option<Result<SimStats, SimError>> {
         let key = (cfg.name.clone(), bench.name.to_string());
         if let Some(s) = self.mem.get(&key) {
-            return Some(Ok(s.clone()));
+            return Ok(s.clone());
         }
         if let Some(e) = self.failed.get(&key) {
-            return Some(Err(e.clone()));
+            return Err(e.clone());
         }
         if let Some(path) = self.cache_path(&cfg.name, bench.name) {
             if let Ok(text) = std::fs::read_to_string(&path) {
@@ -278,7 +235,7 @@ impl Session {
                     Ok(s) => {
                         self.journal_done(&self.cell_key(cfg, bench.name));
                         self.mem.insert(key, s.clone());
-                        return Some(Ok(s));
+                        return Ok(s);
                     }
                     Err(e) if rejection_is_stale(&e) => {
                         // Written by another build or cell identity —
@@ -303,28 +260,37 @@ impl Session {
                 }
             }
         }
-        None
-    }
-
-    /// Record-only back half of [`Session::try_run`]: files a freshly
-    /// simulated cell's outcome — counters, on-disk cache entry, journal
-    /// record, memoization — exactly as `try_run` does for the cells it
-    /// runs itself.
-    fn record_run(
-        &mut self,
-        cfg: &NamedConfig,
-        bench: &Benchmark,
-        outcome: Result<SimStats, SimError>,
-    ) -> Result<SimStats, SimError> {
-        let key = (cfg.name.clone(), bench.name.to_string());
+        let config = cfg.config.clone();
+        let len = self.len;
         let cell_key = self.cell_key(cfg, bench.name);
+        let warm_path = self.warm_path(&cfg.name, bench.name);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_cell(
+                config,
+                (bench.build)(WORKLOAD_SEED),
+                warm_path.as_deref(),
+                len,
+            )
+        }));
         let stats = match outcome {
-            Ok(s) => s,
-            Err(e) => return Err(self.record_failure(key, cell_key, e)),
+            Ok(Ok((s, forked))) => {
+                self.warm_forked += u64::from(forked);
+                s
+            }
+            Ok(Err(e)) => return Err(self.record_failure(key, cell_key, e)),
+            Err(payload) => {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or("opaque panic payload")
+                    .to_string();
+                return Err(self.record_failure(key, cell_key, SimError::Panicked(msg)));
+            }
         };
         self.simulated += 1;
         if let Some(path) = self.cache_path(&cfg.name, bench.name) {
-            let body = stats_to_cache_file(&stats, &cell_key);
+            let body = stats_to_cache_file(&stats, &self.cell_key(cfg, bench.name));
             if let Err(e) = std::fs::write(&path, body) {
                 self.disk_cache_failed(&format!("write {}", path.display()), &e);
             }
@@ -332,81 +298,6 @@ impl Session {
         self.journal_done(&cell_key);
         self.mem.insert(key, stats.clone());
         Ok(stats)
-    }
-
-    /// Runs a group of configurations over one benchmark as a lane batch
-    /// ([`ss_core::lane`]): the benchmark's µ-op stream is decoded once
-    /// and shared by up to `lanes` simulations stepped through a single
-    /// driver loop on this thread. Cached cells are recalled first;
-    /// per-cell results are bit-identical to [`Session::try_run`]
-    /// (proven by `tests/lane_equivalence.rs`) and recorded identically
-    /// (disk cache, journal, failure memoization).
-    ///
-    /// Falls back to the per-cell path when lanes cannot apply: `lanes
-    /// <= 1`, or warm-state forking is enabled (each cell then forks a
-    /// per-cell snapshot and shares no warmup work).
-    ///
-    /// `on_cell(fresh_cycles, failed)` fires once per cell — recalled
-    /// cells report `fresh_cycles = 0`, matching the per-cell engine's
-    /// progress accounting. A cancel mid-batch leaves unfinished cells
-    /// unrecorded (not memoized as failures), like a sweep stopped at a
-    /// cell boundary; finished lane-mates are still recorded.
-    pub fn try_run_batch(
-        &mut self,
-        cfgs: &[NamedConfig],
-        bench: &Benchmark,
-        lanes: usize,
-        cancel: &CancelFlag,
-        mut on_cell: impl FnMut(u64, bool),
-    ) {
-        if lanes <= 1 || self.warm_dir.is_some() {
-            for cfg in cfgs {
-                if cancel.is_cancelled() {
-                    return;
-                }
-                let before = self.simulated;
-                let outcome = self.try_run(cfg, bench);
-                let fresh = if self.simulated > before {
-                    outcome.as_ref().map(|s| s.cycles).unwrap_or(0)
-                } else {
-                    0
-                };
-                on_cell(fresh, outcome.is_err());
-            }
-            return;
-        }
-        let mut fresh_cfgs = Vec::new();
-        for cfg in cfgs {
-            match self.try_recall(cfg, bench) {
-                Some(r) => on_cell(0, r.is_err()),
-                None => fresh_cfgs.push(cfg.clone()),
-            }
-        }
-        if fresh_cfgs.is_empty() {
-            return;
-        }
-        let len = self.len;
-        let cells = fresh_cfgs
-            .iter()
-            .map(|c| LaneCell::new(c.config.clone(), len))
-            .collect();
-        let spec = (bench.build)(WORKLOAD_SEED);
-        let results = run_lane_batch(
-            cells,
-            lanes,
-            || spec.clone().into_source(),
-            cancel,
-            |_, _, _| {},
-        );
-        for (cfg, result) in fresh_cfgs.iter().zip(results) {
-            if matches!(result, Err(SimError::Cancelled { .. })) {
-                continue;
-            }
-            let fresh = result.as_ref().map(|s| s.cycles).unwrap_or(0);
-            let failed = result.is_err();
-            let _ = self.record_run(cfg, bench, result);
-            on_cell(fresh, failed);
-        }
     }
 
     /// Durably journals a completed cell (no-op without a journal; I/O

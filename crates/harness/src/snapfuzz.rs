@@ -18,6 +18,7 @@
 //!
 //! [`Simulator::restore`]: ss_core::Simulator::restore
 
+use crate::flag_value;
 use ss_core::{RunLength, Simulator};
 use ss_snapshot::{Mutation, Snapshot};
 use ss_types::rng::Xoshiro256;
@@ -124,29 +125,34 @@ pub fn run_cli(args: &[String]) -> i32 {
     let mut seed = 0xC0FF_EE5E_ED00_0001u64;
     let mut count = 500u64;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().expect("--seed needs a value");
-                let v = v.strip_prefix("0x").unwrap_or(v);
-                seed = u64::from_str_radix(v, 16)
-                    .or_else(|_| v.parse())
-                    .expect("--seed needs a number");
+    let parsed = (|| -> Result<Option<i32>, String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--seed" => {
+                    let v: String = flag_value("--seed", it.next())?;
+                    let h = v.strip_prefix("0x").unwrap_or(&v);
+                    seed = u64::from_str_radix(h, 16)
+                        .or_else(|_| h.parse())
+                        .map_err(|_| format!("--seed: invalid value `{v}`"))?;
+                }
+                "--seeds" => count = flag_value("--seeds", it.next())?,
+                "--help" | "-h" => {
+                    eprintln!("usage: experiments snapfuzz [--seeds N] [--seed S]");
+                    return Ok(Some(0));
+                }
+                other => {
+                    return Err(format!("unknown snapfuzz flag `{other}` (see --help)"));
+                }
             }
-            "--seeds" => {
-                count = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds needs a count")
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: experiments snapfuzz [--seeds N] [--seed S]");
-                return 0;
-            }
-            other => {
-                eprintln!("unknown snapfuzz flag `{other}` (see --help)");
-                return 2;
-            }
+        }
+        Ok(None)
+    })();
+    match parsed {
+        Ok(Some(code)) => return code,
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
         }
     }
     let stats = run_campaign(seed, count);

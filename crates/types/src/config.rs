@@ -458,12 +458,13 @@ pub struct SimConfig {
     pub commit_log_window: u32,
 
     // ---- scheduler implementation ----
-    /// Use the legacy per-cycle O(ROB) scan in the issue stage instead of
-    /// the event-driven ready queue. Off by default; kept for one release
-    /// as the differential reference the equivalence tests compare the
-    /// event-driven scheduler against (the two are byte-identical in
-    /// [`crate::SimStats`]). Model behaviour does not depend on this
-    /// knob — only simulator speed does.
+    /// Run the reference model: the per-cycle O(ROB) scan in the issue
+    /// stage instead of the event-driven ready queue, and one full tick
+    /// per cycle instead of the gated production stepper. Off by
+    /// default; the differential reference the equivalence tests, the
+    /// bench and the fuzzer compare production against (the two are
+    /// byte-identical in [`crate::SimStats`]). Model behaviour does not
+    /// depend on this knob — only simulator speed does.
     pub legacy_scan: bool,
 }
 
@@ -838,8 +839,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects the legacy scan-based issue stage instead of the
-    /// event-driven ready queue (differential testing only).
+    /// Selects the reference model: the scan-based issue stage stepped
+    /// one full tick per cycle (differential testing only).
     pub fn legacy_scan(mut self, on: bool) -> Self {
         self.cfg.legacy_scan = on;
         self

@@ -261,6 +261,10 @@ pub enum SimError {
         /// The wall-clock budget that expired, in milliseconds.
         budget_ms: u64,
     },
+    /// The production stepper and the reference per-tick loop disagreed
+    /// on the same run (found by the stepper-differential fuzzer): the
+    /// text names what differed between the two outcomes.
+    StepperMismatch(String),
 }
 
 impl fmt::Display for SimError {
@@ -304,6 +308,12 @@ impl fmt::Display for SimError {
                 f,
                 "deadline exceeded after {committed} committed µ-ops (budget {budget_ms} ms)"
             ),
+            SimError::StepperMismatch(what) => {
+                write!(
+                    f,
+                    "production stepper diverged from the reference loop: {what}"
+                )
+            }
         }
     }
 }
@@ -409,6 +419,10 @@ mod tests {
                     budget_ms: 50,
                 },
                 "deadline exceeded",
+            ),
+            (
+                SimError::StepperMismatch("cycles 10 ≠ 11".into()),
+                "production stepper diverged",
             ),
         ];
         for (e, needle) in cases {

@@ -1,75 +1,69 @@
-//! Lane-engine equivalence contract: batching K cells through one tick
-//! loop is an *execution strategy*, never an observable behaviour. For
-//! every cell, `run_lane_batch` must produce the byte-identical
-//! [`SimStats`] the sequential `RunRequest` path produces — across the
-//! scheduling-policy matrix, every kernel shape, fault plans, ragged
-//! warmup/measure budgets, and any lane width. A cell that *fails*
-//! mid-batch (deadlock, invalid config) retires its lane without
-//! perturbing its lane-mates. DESIGN.md "Lane engine" carries the
-//! argument for why sharing is safe; these tests are the enforcement.
+//! Cell isolation for sweeps: cells stepped side by side through the
+//! production stepper, each on its own thread and sliced into small
+//! `RunRequest` chunks the way `run_chunked` slices a sweep cell, must
+//! each produce the byte-identical [`SimStats`] of their own one-shot
+//! run through the reference model. State leaking between cells (a
+//! shared predictor table, a fault plan on the wrong cell) shows up as a
+//! counter diff.
 
-use speculative_scheduling::core::{
-    default_lanes, run_lane_batch, validate_lanes, FaultPlan, LaneCell, RunLength, RunRequest,
-    MAX_LANES,
-};
-use speculative_scheduling::types::{
-    CancelFlag, SchedPolicyKind, SimConfig, SimError, SimStats,
-};
+use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest};
+use speculative_scheduling::types::{CancelFlag, SchedPolicyKind, SimConfig, SimStats};
 use speculative_scheduling::workloads::kernels;
 
-const LEN: RunLength = RunLength {
-    warmup: 500,
-    measure: 4_000,
-};
-
-fn cfg(rob: u32, iq: u32, policy: SchedPolicyKind) -> SimConfig {
+fn cfg(policy: SchedPolicyKind) -> SimConfig {
     SimConfig::builder()
         .issue_to_execute_delay(4)
-        .rob_entries(rob)
-        .iq_entries(iq)
+        .rob_entries(192)
+        .iq_entries(60)
         .sched_policy(policy)
         .build()
 }
 
-/// The sequential reference for one cell: the same workload seed and
-/// machine through the one-cell-at-a-time `RunRequest` path.
-fn reference(kernel: &str, cell: &LaneCell) -> Result<SimStats, SimError> {
+/// One cell of `kernel`, `chunk` µ-ops per `RunRequest` chunk (`0`: one
+/// chunk), through the reference model iff `legacy_scan`.
+fn run_cell(
+    kernel: &str,
+    cell: &(SimConfig, FaultPlan),
+    legacy_scan: bool,
+    chunk: u64,
+) -> SimStats {
     let spec = kernels::benchmark(kernel).expect("kernel exists");
+    let mut cfg = cell.0.clone();
+    cfg.legacy_scan = legacy_scan;
     RunRequest::kernel((spec.build)(1))
-        .custom_config(cell.cfg.clone())
-        .length(cell.len)
-        .faults(cell.faults.clone())
-        .execute()
-        .map(|o| o.stats)
+        .custom_config(cfg)
+        .length(RunLength {
+            warmup: 500,
+            measure: 4_000,
+        })
+        .faults(cell.1.clone())
+        .execute_observed(&CancelFlag::new(), chunk, |_, _| {})
+        .unwrap_or_else(|e| panic!("{kernel} (legacy_scan={legacy_scan}): run failed: {e}"))
+        .stats
 }
 
-/// Runs the cells as one lane batch over `kernel` and checks each
-/// result byte-for-byte against the sequential reference.
-fn assert_batch_matches(kernel: &str, cells: Vec<LaneCell>, lanes: usize) {
-    let spec = kernels::benchmark(kernel).expect("kernel exists");
-    let got = run_lane_batch(
-        cells.clone(),
-        lanes,
-        || (spec.build)(1).into_source(),
-        &CancelFlag::new(),
-        |_, _, _| {},
-    );
-    assert_eq!(got.len(), cells.len());
+/// Runs every cell concurrently through the production stepper, then
+/// each alone through the reference model, and compares them.
+fn assert_cells_match(kernel: &str, cells: Vec<(SimConfig, FaultPlan)>) {
+    let got: Vec<SimStats> = std::thread::scope(|s| {
+        let handles: Vec<_> = cells
+            .iter()
+            .map(|cell| s.spawn(move || run_cell(kernel, cell, false, 333)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("cell thread panicked"))
+            .collect()
+    });
     for (i, (cell, got)) in cells.iter().zip(&got).enumerate() {
-        let want = reference(kernel, cell).unwrap_or_else(|e| {
-            panic!("{kernel} cell {i}: reference run failed: {e}");
-        });
-        let got = got
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{kernel} cell {i}: lane run failed: {e}"));
-        assert_eq!(got, &want, "{kernel} cell {i}: lane stats diverged");
+        let want = run_cell(kernel, cell, true, 0);
+        assert_eq!(got, &want, "{kernel} cell {i}: stats diverged");
     }
 }
 
-/// Every scheduling policy, batched together over each kernel shape:
-/// the policies exercise disjoint predictor state (global counter,
-/// per-PC filter, criticality table), so any cross-lane leakage through
-/// the shared trace ring would show up as a counter diff somewhere.
+/// Every scheduling policy side by side over each kernel shape: the
+/// policies exercise disjoint predictor state (global counter, per-PC
+/// filter, criticality table), so leakage between cells would show up.
 #[test]
 fn policy_matrix_matches_sequential() {
     let policies = [
@@ -81,186 +75,25 @@ fn policy_matrix_matches_sequential() {
         SchedPolicyKind::Criticality,
     ];
     for kernel in ["dep_chain_l2", "mix_int", "stream_all_miss"] {
-        let cells: Vec<LaneCell> = policies
-            .iter()
-            .map(|&p| LaneCell::new(cfg(192, 60, p), LEN))
-            .collect();
-        let lanes = cells.len();
-        assert_batch_matches(kernel, cells, lanes);
+        let cells = policies.iter().map(|&p| (cfg(p), FaultPlan::new()));
+        assert_cells_match(kernel, cells.collect());
     }
 }
 
-/// Per-cell fault plans stay per-cell: a latency spike, a bank-conflict
-/// burst, a replay storm, and a clean cell share one decode ring and
-/// none of them bleed into a lane-mate.
+/// Per-cell fault plans stay per-cell: a clean cell, a latency spike, a
+/// bank-conflict burst and a replay storm on the same machine, so a
+/// plan applied to the wrong cell is guaranteed to be visible.
 #[test]
 fn fault_plans_match_sequential() {
-    let mut cells: Vec<LaneCell> = [
+    let plans = [
         FaultPlan::new(),
         FaultPlan::new().latency_spike(200, 400, 60),
         FaultPlan::new().bank_conflict_burst(100, 600, 3),
         FaultPlan::new().replay_storm(300, 500),
-    ]
-    .into_iter()
-    .map(|plan| {
-        let mut cell = LaneCell::new(cfg(192, 60, SchedPolicyKind::AlwaysHit), LEN);
-        cell.faults = plan;
-        cell
-    })
-    .collect();
-    // Same machine everywhere: only the fault plan distinguishes cells,
-    // so a plan applied to the wrong lane is guaranteed to be visible.
-    cells[0].cfg = cfg(192, 60, SchedPolicyKind::AlwaysHit);
-    let lanes = cells.len();
-    assert_batch_matches("mix_int", cells, lanes);
-}
-
-/// Ragged budgets with fewer lanes than cells: the batch chunks into
-/// sub-batches, early-finishing lanes retire and the ring trims, and
-/// every cell still matches its reference exactly.
-#[test]
-fn ragged_lengths_chunked_lanes_match_sequential() {
-    let lens = [
-        RunLength {
-            warmup: 200,
-            measure: 1_500,
-        },
-        RunLength {
-            warmup: 1_000,
-            measure: 8_000,
-        },
-        RunLength {
-            warmup: 500,
-            measure: 3_000,
-        },
-        RunLength {
-            warmup: 50,
-            measure: 700,
-        },
-        RunLength {
-            warmup: 800,
-            measure: 5_000,
-        },
     ];
-    let robs = [64u32, 192, 384, 128, 256];
-    let iqs = [24u32, 60, 120, 40, 80];
-    let cells: Vec<LaneCell> = (0..5)
-        .map(|i| {
-            LaneCell::new(cfg(robs[i], iqs[i], SchedPolicyKind::AlwaysHit), lens[i])
-        })
+    let cells = plans
+        .into_iter()
+        .map(|p| (cfg(SchedPolicyKind::AlwaysHit), p))
         .collect();
-    assert_batch_matches("dep_chain_l2", cells, 2);
-}
-
-/// Lane width is invisible: the same cells at width 1 (the sequential
-/// degenerate case) and at full width produce identical result vectors.
-#[test]
-fn lane_width_does_not_change_results() {
-    let spec = kernels::benchmark("mix_int").expect("kernel exists");
-    let cells: Vec<LaneCell> = [64u32, 192, 384]
-        .iter()
-        .map(|&rob| LaneCell::new(cfg(rob, rob / 4, SchedPolicyKind::GlobalCounter), LEN))
-        .collect();
-    let run = |lanes: usize| {
-        run_lane_batch(
-            cells.clone(),
-            lanes,
-            || (spec.build)(1).into_source(),
-            &CancelFlag::new(),
-            |_, _, _| {},
-        )
-    };
-    let narrow = run(1);
-    let wide = run(3);
-    for (i, (a, b)) in narrow.iter().zip(&wide).enumerate() {
-        assert_eq!(
-            a.as_ref().unwrap(),
-            b.as_ref().unwrap(),
-            "cell {i}: width-1 vs width-3 diverged"
-        );
-    }
-}
-
-/// A cell that dies mid-batch (a 2-cycle watchdog deadlocks on the
-/// first long-latency miss) retires its lane with a typed error; its
-/// lane-mates keep stepping through the shared ring and still match
-/// their sequential references byte-for-byte.
-#[test]
-fn mid_batch_failure_does_not_poison_lane_mates() {
-    let healthy = cfg(192, 60, SchedPolicyKind::AlwaysHit);
-    let doomed = SimConfig::builder()
-        .issue_to_execute_delay(4)
-        .rob_entries(192)
-        .iq_entries(60)
-        .watchdog_cycles(2)
-        .build();
-    let cells = vec![
-        LaneCell::new(healthy.clone(), LEN),
-        LaneCell::new(doomed, LEN),
-        LaneCell::new(cfg(384, 120, SchedPolicyKind::Criticality), LEN),
-    ];
-    let spec = kernels::benchmark("dep_chain_l2").expect("kernel exists");
-    let got = run_lane_batch(
-        cells.clone(),
-        3,
-        || (spec.build)(1).into_source(),
-        &CancelFlag::new(),
-        |_, _, _| {},
-    );
-    assert!(
-        matches!(got[1], Err(SimError::Deadlock(_))),
-        "watchdog cell should deadlock, got {:?}",
-        got[1].as_ref().map(|_| "ok")
-    );
-    for i in [0usize, 2] {
-        let want = reference("dep_chain_l2", &cells[i]).expect("healthy reference");
-        assert_eq!(
-            got[i].as_ref().expect("healthy lane survives"),
-            &want,
-            "cell {i}: stats perturbed by a failing lane-mate"
-        );
-    }
-}
-
-/// An *invalid* configuration fails at lane setup — before any ticking
-/// — and likewise leaves the rest of the batch untouched.
-#[test]
-fn invalid_config_fails_setup_without_poisoning_batch() {
-    // The builder panics on inconsistent configs, so reach the lane
-    // engine's own `try_validate` gate by mutating a built config: an
-    // issue-to-execute delay no frontend depth can cover.
-    let mut bad = cfg(192, 60, SchedPolicyKind::AlwaysHit);
-    bad.issue_to_execute_delay = 400;
-    let cells = vec![
-        LaneCell::new(cfg(192, 60, SchedPolicyKind::AlwaysHit), LEN),
-        LaneCell::new(bad, LEN),
-    ];
-    let spec = kernels::benchmark("mix_int").expect("kernel exists");
-    let got = run_lane_batch(
-        cells.clone(),
-        2,
-        || (spec.build)(1).into_source(),
-        &CancelFlag::new(),
-        |_, _, _| {},
-    );
-    assert!(matches!(got[1], Err(SimError::ConfigInvalid(_))));
-    let want = reference("mix_int", &cells[0]).expect("healthy reference");
-    assert_eq!(got[0].as_ref().expect("healthy lane survives"), &want);
-}
-
-/// The typed `--lanes` validation surface: zero and absurd widths are
-/// `ConfigInvalid`, the defaulting rule follows the batch shape and
-/// saturates at `MAX_LANES`.
-#[test]
-fn lane_count_validation_and_defaults() {
-    assert!(matches!(validate_lanes(0), Err(SimError::ConfigInvalid(_))));
-    assert!(matches!(
-        validate_lanes(MAX_LANES + 1),
-        Err(SimError::ConfigInvalid(_))
-    ));
-    assert!(validate_lanes(1).is_ok());
-    assert!(validate_lanes(MAX_LANES).is_ok());
-    assert_eq!(default_lanes(0), 1);
-    assert_eq!(default_lanes(3), 3);
-    assert_eq!(default_lanes(10 * MAX_LANES), MAX_LANES);
+    assert_cells_match("mix_int", cells);
 }

@@ -1,55 +1,78 @@
-//! Differential proof that the event-driven ready-queue scheduler is
-//! observably identical to the legacy per-cycle O(ROB) scan it replaced:
-//! for the same configuration and workload, the two paths must produce
-//! **byte-identical** [`SimStats`] — same cycle count, same issue/replay
-//! counters, same predictor training, everything. The equivalence
-//! argument (why the incrementally-maintained ready set selects exactly
-//! the µ-ops the scan would) lives in DESIGN.md "Scheduler data
-//! structures"; these tests are the enforcement.
+//! Differential proof that the production stepper — the gated
+//! `try_run_committed` loop over the event-driven ready queue — is
+//! observably identical to the reference model (one full `tick` per
+//! cycle over the per-cycle O(ROB) scan, `legacy_scan`): for the same
+//! configuration and workload, the two must produce **byte-identical**
+//! [`SimStats`] — same cycle count, same issue/replay counters, same
+//! predictor training, everything — and identical failure reports. The
+//! equivalence argument lives in DESIGN.md "Scheduler data structures";
+//! these tests are the enforcement.
 
 use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator};
 use speculative_scheduling::harness::configs::ConfigSpec;
 use speculative_scheduling::harness::fuzz::FuzzCell;
 use speculative_scheduling::prelude::*;
+use speculative_scheduling::types::{CancelFlag, SimError};
 use speculative_scheduling::workloads::{kernels, KernelTrace};
 
 /// Test-local shim over the unified runner, preserving the fallible
-/// signature these tests assert error taxonomy through.
+/// signature these tests assert error taxonomy through. `chunk` slices
+/// the run into `RunRequest` chunks of that many committed µ-ops (`0`:
+/// one chunk).
 fn try_run_kernel(
-    cfg: speculative_scheduling::types::SimConfig,
+    cfg: SimConfig,
     spec: speculative_scheduling::workloads::KernelSpec,
     len: RunLength,
-) -> Result<speculative_scheduling::types::SimStats, speculative_scheduling::types::SimError> {
+    chunk: u64,
+) -> Result<SimStats, SimError> {
     RunRequest::kernel(spec)
         .custom_config(cfg)
         .length(len)
-        .execute()
+        .execute_observed(&CancelFlag::new(), chunk, |_, _| {})
         .map(|o| o.stats)
 }
 
-/// Runs the same kernel under both scheduler implementations and
-/// asserts identical statistics.
+/// Runs the same kernel through the production stepper (sliced into
+/// `chunk`-µ-op requests) and through the reference model (one chunk),
+/// returning both outcomes.
+fn run_both(
+    cfg: &SimConfig,
+    spec: speculative_scheduling::workloads::KernelSpec,
+    len: RunLength,
+    chunk: u64,
+) -> [Result<SimStats, SimError>; 2] {
+    let mut production = cfg.clone();
+    production.legacy_scan = false;
+    let mut reference = cfg.clone();
+    reference.legacy_scan = true;
+    [
+        try_run_kernel(production, spec.clone(), len, chunk),
+        try_run_kernel(reference, spec, len, 0),
+    ]
+}
+
+/// Runs the same kernel through the production stepper and the
+/// reference model and asserts both complete with identical statistics.
 fn assert_equivalent(
     cfg: &SimConfig,
     spec: speculative_scheduling::workloads::KernelSpec,
     len: RunLength,
+    chunk: u64,
     what: &str,
 ) {
-    let mut event = cfg.clone();
-    event.legacy_scan = false;
-    let mut legacy = cfg.clone();
-    legacy.legacy_scan = true;
-    let a = try_run_kernel(event, spec.clone(), len)
-        .unwrap_or_else(|e| panic!("{what}: event-driven run failed: {e}"));
-    let b = try_run_kernel(legacy, spec, len)
-        .unwrap_or_else(|e| panic!("{what}: legacy-scan run failed: {e}"));
-    assert_eq!(a, b, "{what}: schedulers diverged");
+    let [a, b] = run_both(cfg, spec, len, chunk);
+    let a = a.unwrap_or_else(|e| panic!("{what}: production run failed: {e}"));
+    let b = b.unwrap_or_else(|e| panic!("{what}: reference run failed: {e}"));
+    assert_eq!(
+        a, b,
+        "{what}: production stepper diverged from the reference"
+    );
 }
 
 /// Every configuration the harness's experiments name, at the paper's
 /// endpoint delays, on a replay-heavy kernel: the full policy matrix
 /// (wakeup policies, replay schemes, banking, shifting, PRF banking,
-/// criticality) must be bit-equivalent between the two schedulers.
+/// criticality) must be bit-equivalent between the two steppers.
 #[test]
 fn policy_matrix_is_byte_identical() {
     let len = RunLength {
@@ -63,6 +86,7 @@ fn policy_matrix_is_byte_identical() {
                 &named.config,
                 kernels::mix_int(3),
                 len,
+                0,
                 &format!("{} (d{delay})", named.name),
             );
         }
@@ -91,7 +115,91 @@ fn kernel_sweep_is_byte_identical() {
         ("crafty_like", kernels::crafty_like(1)),
         ("stream_all_miss", kernels::stream_all_miss(1)),
     ] {
-        assert_equivalent(&cfg, spec, len, name);
+        assert_equivalent(&cfg, spec, len, 0, name);
+    }
+}
+
+/// Ragged warmup/measure budgets crossed with small `RunRequest` chunk
+/// sizes: every chunk boundary re-enters the production stepper with
+/// its quiet-skip cache carried over, and on the miss-bound kernel most
+/// boundaries sit just before a long quiet stretch. Slicing must leave
+/// no trace in the statistics.
+#[test]
+fn ragged_chunked_budgets_are_byte_identical() {
+    let lens = [(50, 700), (200, 1_500), (500, 3_000), (1_000, 8_000)];
+    let shapes = [(64u32, 24u32), (192, 60), (384, 120)];
+    for (i, &(warmup, measure)) in lens.iter().enumerate() {
+        let (rob, iq) = shapes[i % shapes.len()];
+        let cfg = SimConfig::builder()
+            .issue_to_execute_delay(4)
+            .sched_policy(SchedPolicyKind::AlwaysHit)
+            .rob_entries(rob)
+            .iq_entries(iq)
+            .build();
+        let len = RunLength { warmup, measure };
+        for chunk in [1u64, 7, 333] {
+            assert_equivalent(
+                &cfg,
+                kernels::dep_chain_l2(1),
+                len,
+                chunk,
+                &format!("rob{rob} {len} chunk {chunk}"),
+            );
+        }
+    }
+}
+
+/// The checker paths the production stepper must land on exactly: a
+/// tight watchdog deadlocks (2 cycles: before the first commit; 200
+/// cycles: on a DRAM miss, mid-run) and the report (cycle,
+/// committed count, occupancies, stuck-window detail) must equal the
+/// reference model's; a per-cycle invariant check
+/// (`invariant_check_interval(1)`) must run clean through both.
+#[test]
+fn checker_reports_are_byte_identical() {
+    let len = RunLength {
+        warmup: 500,
+        measure: 4_000,
+    };
+    for watchdog in [2u64, 200] {
+        let doomed = SimConfig::builder()
+            .issue_to_execute_delay(4)
+            .watchdog_cycles(watchdog)
+            .build();
+        for chunk in [0u64, 7] {
+            let what = format!("watchdog {watchdog} chunk {chunk}");
+            match run_both(&doomed, kernels::ptr_chase_big(1), len, chunk) {
+                [Err(SimError::Deadlock(a)), Err(SimError::Deadlock(b))] => {
+                    assert_eq!(a.snapshot, b.snapshot, "{what}: deadlock snapshots differ");
+                    assert_eq!(a, b, "{what}: deadlock reports differ");
+                    if watchdog > 2 {
+                        assert!(
+                            a.snapshot.committed > 0,
+                            "{what}: deadlocked before any commit"
+                        );
+                    }
+                }
+                other => panic!("{what}: expected two deadlocks, got {other:?}"),
+            }
+        }
+    }
+    let checked = SimConfig::builder()
+        .issue_to_execute_delay(4)
+        .sched_policy(SchedPolicyKind::AlwaysHit)
+        .banked_l1d(true)
+        .invariant_check_interval(1)
+        .build();
+    for (name, spec) in [
+        ("dep_chain_l2", kernels::dep_chain_l2(1)),
+        ("mix_int", kernels::mix_int(1)),
+    ] {
+        assert_equivalent(
+            &checked,
+            spec,
+            len,
+            0,
+            &format!("{name} (per-cycle checks)"),
+        );
     }
 }
 
@@ -128,7 +236,7 @@ fn fault_kinds_are_byte_identical() {
                 .unwrap_or_else(|e| panic!("{name}: run failed (legacy={legacy}): {e}"));
             stats[i] = sim.stats();
         }
-        assert_eq!(stats[0], stats[1], "{name}: schedulers diverged");
+        assert_eq!(stats[0], stats[1], "{name}: production stepper diverged");
         assert!(
             stats[0].faults_injected > 0,
             "{name}: fault window never fired — test proves nothing"
@@ -137,11 +245,11 @@ fn fault_kinds_are_byte_identical() {
 }
 
 /// 32 seeded fuzz cells (random machine shape × generated kernel ×
-/// fault windows, PR-1 seeded-loop convention): the schedulers must
+/// fault windows, seeded-loop convention): the steppers must
 /// stay byte-identical across the whole randomized space. A cell whose
 /// run ends in a structured error (e.g. the pre-existing IQ-reacquire
 /// overshoot tripping the periodic invariant checker under an extreme
-/// fault plan) still counts as equivalent only if *both* schedulers
+/// fault plan) still counts as equivalent only if *both* steppers
 /// produce the identical error at the identical point.
 #[test]
 fn fuzz_cells_are_byte_identical() {
@@ -168,7 +276,7 @@ fn fuzz_cells_are_byte_identical() {
         assert_eq!(
             event,
             legacy,
-            "cell {seed} ({}): schedulers diverged",
+            "cell {seed} ({}): production stepper diverged",
             cell.cell_key()
         );
         clean += u32::from(event.0.is_ok());

@@ -25,12 +25,12 @@
 //! `results/`). Simulation results are cached under `results/cache/`.
 //!
 //! `--checkpoint-dir DIR` makes the sweep crash-safe and warm-forkable:
-//! the stats cache moves to `DIR/cache`, per-cell warm-state snapshots
-//! land in `DIR/warm` (each cell's warmup simulates once, ever), and an
-//! fsync'd journal of completed cells is kept at `DIR/journal.log`. A
-//! killed sweep rerun with the same `--checkpoint-dir` picks up where it
-//! died and produces byte-identical reports; add `--resume` to print how
-//! much completed work was found on record.
+//! the result store moves to `DIR/cache` and per-cell warm-state
+//! snapshots land in `DIR/warm` (each cell's warmup simulates once,
+//! ever). Every result file is written atomically, so a killed sweep
+//! rerun with the same `--checkpoint-dir` picks up where it died and
+//! produces byte-identical reports; add `--resume` to print how much
+//! completed work was found on record.
 //!
 //! `--jobs N` shards the (configuration × benchmark) matrix across `N`
 //! worker threads (default: the host's available parallelism) before the
@@ -156,14 +156,10 @@ fn main() {
     let mut sess = Session::new(len, cache_dir);
     if let Some(d) = &checkpoint_dir {
         sess.enable_warm_fork(d.join("warm"));
-        match sess.attach_journal(&d.join("journal.log")) {
-            Ok(done) => {
-                if resume {
-                    eprintln!("[resume: {done} cells already complete on the journal]");
-                }
-            }
-            Err(e) => eprintln!("warning: sweep journal unavailable ({e}); continuing without"),
-        }
+    }
+    if resume {
+        let done = sess.store().map_or(0, |s| s.count());
+        eprintln!("[resume: {done} results already complete in the result store]");
     }
 
     // Resolve the experiment list up front so the parallel engine can

@@ -29,7 +29,8 @@
 //! sequentially afterwards (failures are rare and shrink runs are
 //! cheap).
 
-use crate::session::{stats_to_kv, CellFailure};
+use crate::serve::stats_to_wire;
+use crate::session::CellFailure;
 use ss_core::{FaultPlan, RunLength, RunRequest};
 use ss_trace::{pipeview, RingSink, TraceEvent};
 use ss_types::exec::{scoped_workers, WorkQueue};
@@ -302,13 +303,14 @@ fn stepper_verdict(
     let what = match (reference, production) {
         (Ok(r), Ok(p)) if r == p => return Ok(()),
         (Ok(r), Ok(p)) => {
-            let (r, p) = (stats_to_kv(&r), stats_to_kv(&p));
-            r.lines()
-                .zip(p.lines())
+            let (r, p) = (stats_to_wire(&r), stats_to_wire(&p));
+            r.split(' ')
+                .zip(p.split(' '))
                 .filter(|(a, b)| a != b)
                 .map(|(a, b)| {
-                    let value = b.rsplit(' ').next().unwrap_or("");
-                    format!("{a} ≠ {value}")
+                    let (field, value) = a.split_once('=').unwrap_or((a, ""));
+                    let other = b.split_once('=').map_or("", |(_, v)| v);
+                    format!("{field} {value} ≠ {other}")
                 })
                 .collect::<Vec<_>>()
                 .join(", ")

@@ -11,8 +11,9 @@
 //!   (configuration × benchmark) matrix across worker threads.
 //! * [`experiments`] — one regenerator per table/figure; each returns a
 //!   [`report::Report`] with the same rows/series the paper plots.
-//! * [`journal`] — the crash-safe sweep journal: an fsync'd record of
-//!   completed cells that lets a killed sweep resume without guesswork.
+//! * [`store`] — the result store: finished results keyed by canonical
+//!   request text, one atomically written, checksummed file each, shared
+//!   by sweeps and the server.
 //! * [`fuzz`] — the deterministic differential fuzz campaign: random
 //!   (config × kernel × fault plan) cells checked against the in-order
 //!   golden model, with an automatic shrinker and repro files.
@@ -25,7 +26,7 @@
 //! * [`serve`] — simulation-as-a-service: the `experiments serve`
 //!   resident batch server executing [`ss_core::RunRequest`]s over a
 //!   Unix-domain socket with priority queues, admission control, and a
-//!   memoized results cache pre-populated from sweep journals.
+//!   bounded results memo backed by the result store.
 //! * [`report`] — tables, gmean, CSV.
 //! * [`rvrun`] — the `experiments rvrun` subcommand: run a real RV32IM
 //!   program from the `ss-frontend` suite through the pipeline under a
@@ -52,12 +53,12 @@ pub mod energy;
 pub mod exec;
 pub mod experiments;
 pub mod fuzz;
-pub mod journal;
 pub mod report;
 pub mod rvrun;
 pub mod serve;
 pub mod session;
 pub mod snapfuzz;
+pub mod store;
 pub mod tracecmd;
 
 pub use configs::{ConfigFamily, ConfigSpec, ConfigVariant, NamedConfig};

@@ -1,9 +1,9 @@
 //! Simulation-as-a-service: the `experiments serve` resident batch
 //! server.
 //!
-//! A long-lived process keeps hot state across requests — the memoized
-//! results cache (pre-populated from a sweep's [`SweepJournal`] and
-//! on-disk stats cache), a resident warm-[`Snapshot`] store, and the
+//! A long-lived process keeps hot state across requests — a bounded
+//! results memo (backed by a sweep's on-disk [`ResultStore`] when one
+//! is attached), a resident warm-[`Snapshot`] store, and the
 //! per-(config, kernel) cost history — and executes [`RunRequest`]s
 //! received over a Unix-domain socket, line by line. No async runtime,
 //! no dependencies: a threaded accept loop, [`PrioQueue`] worker
@@ -80,14 +80,13 @@
 //! a real server under a seeded fault schedule.
 
 use crate::flag_value;
-use crate::journal::SweepJournal;
-use crate::session::{stats_from_cache_file, stats_from_kv, stats_to_kv, WORKLOAD_SEED};
-use ss_core::{RunLength, RunRequest};
+use crate::store::{Rejection, ResultStore};
+use ss_core::RunRequest;
 use ss_snapshot::Snapshot;
 use ss_types::{
-    Backoff, CancelFlag, ConfigSpec, CostEma, PrioQueue, Priority, PushError, SimError, SimStats,
+    Backoff, CacheStats, CancelFlag, CostEma, PrioQueue, Priority, PushError, SimError, SimStats,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -101,6 +100,12 @@ use std::time::{Duration, Instant};
 /// protocol error, not a memory commitment.
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
+/// Capacity of the in-memory results memo. Far above the ~600 distinct
+/// results of a mixed benchmark session; past it the oldest entry is
+/// evicted and a repeat is answered from the result store, if one is
+/// attached, or re-simulated.
+pub const RESULTS_CAPACITY: usize = 4096;
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -110,8 +115,8 @@ pub struct ServeOptions {
     pub jobs: usize,
     /// Admission-control bound: queued (not yet running) requests.
     pub queue_depth: usize,
-    /// Checkpoint directory of a prior sweep (`journal.log` + `cache/`)
-    /// to pre-populate the results cache from.
+    /// Checkpoint directory of a sweep: its result store (`DIR/cache`)
+    /// answers memo misses and records every fresh result.
     pub checkpoint_dir: Option<PathBuf>,
     /// EMA-predicted cost (wall ms) at or below which a cell classifies
     /// as interactive.
@@ -230,6 +235,9 @@ struct Job {
     prio: Priority,
     /// Canonical request text — the results-cache key.
     canonical: String,
+    /// Whether the result may be written to the result store: its text
+    /// determines it (no fork from a snapshot file that could change).
+    durable: bool,
     req: RunRequest,
     cost_key: String,
     cancel: Arc<CancelFlag>,
@@ -250,8 +258,10 @@ enum Task {
 struct ServerState {
     opts: ServeOptions,
     queue: PrioQueue<Task>,
-    /// canonical request text → statistics.
-    results: Mutex<HashMap<String, SimStats>>,
+    /// canonical request text → statistics, bounded.
+    results: Mutex<Memo>,
+    /// The checkpoint's result store, when attached.
+    store: Option<ResultStore>,
     /// snapshot path → loaded, verified warm state.
     snapshots: Mutex<HashMap<String, Snapshot>>,
     ema: Mutex<CostEma>,
@@ -292,25 +302,27 @@ pub struct Server {
 }
 
 impl Server {
-    /// Validates the options, binds the socket, preloads the results
-    /// cache, and starts the worker pool, its supervisor, and the
-    /// accept loop.
+    /// Validates the options, binds the socket, opens the result store,
+    /// and starts the worker pool, its supervisor, and the accept loop.
     pub fn start(opts: ServeOptions) -> Result<Server, StartError> {
         opts.validate().map_err(StartError::Config)?;
         // A stale socket file from a dead server would fail the bind.
         let _ = std::fs::remove_file(&opts.socket);
         let listener = UnixListener::bind(&opts.socket).map_err(StartError::Io)?;
-        let mut results = HashMap::new();
-        if let Some(dir) = &opts.checkpoint_dir {
-            let loaded = preload_results(dir, &mut results);
-            eprintln!(
-                "[serve: preloaded {loaded} cached results from {}]",
-                dir.display()
-            );
-        }
+        let store = opts.checkpoint_dir.as_ref().and_then(|dir| {
+            let dir = dir.join("cache");
+            match ResultStore::open(&dir) {
+                Ok(store) => Some(store),
+                Err(e) => {
+                    eprintln!("[serve: result store {} unavailable ({e})]", dir.display());
+                    None
+                }
+            }
+        });
         let state = Arc::new(ServerState {
             queue: PrioQueue::new(opts.queue_depth),
-            results: Mutex::new(results),
+            results: Mutex::new(Memo::default()),
+            store,
             snapshots: Mutex::new(HashMap::new()),
             ema: Mutex::new(CostEma::new()),
             inflight: Mutex::new(HashMap::new()),
@@ -545,74 +557,154 @@ fn drain(state: &Arc<ServerState>) {
     }
 }
 
-/// Pre-populates the results cache from a sweep checkpoint directory:
-/// every journaled `{name}|{spec}|{bench}|w{W}m{M}` cell whose name is
-/// the canonical spec (the standard sweep cells) and whose cache file
-/// verifies becomes a served `src=bench:… cfg=… len=…` entry.
-fn preload_results(dir: &Path, results: &mut HashMap<String, SimStats>) -> usize {
-    let journal = match SweepJournal::open(&dir.join("journal.log")) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("[serve: no usable journal in {} ({e})]", dir.display());
-            return 0;
-        }
-    };
-    let cache = dir.join("cache");
-    let mut loaded = 0;
-    for key in journal.completed_cells() {
-        let Some((canonical, cache_file)) = translate_journal_key(key) else {
-            continue;
-        };
-        let path = cache.join(cache_file);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        match stats_from_cache_file(&path, &text, key) {
-            Ok(stats) => {
-                results.insert(canonical, stats);
-                loaded += 1;
-            }
-            Err(e) => eprintln!("[serve: skipping {}: {e}]", path.display()),
-        }
-    }
-    loaded
+/// The bounded results memo: canonical request text → statistics. Once
+/// it holds [`RESULTS_CAPACITY`] entries, each new one evicts the oldest.
+#[derive(Default)]
+struct Memo {
+    map: HashMap<String, SimStats>,
+    order: VecDeque<String>,
 }
 
-/// Maps a sweep-journal cell key to `(canonical request text, cache file
-/// name)`. Only standard cells — display name identical to the canonical
-/// [`ConfigSpec`] — translate; renamed test cells are skipped.
-fn translate_journal_key(key: &str) -> Option<(String, String)> {
-    let mut parts = key.split('|');
-    let (name, spec, bench, len) = (parts.next()?, parts.next()?, parts.next()?, parts.next()?);
-    if parts.next().is_some() || name != spec {
-        return None;
+impl Memo {
+    fn get(&self, key: &str) -> Option<SimStats> {
+        self.map.get(key).cloned()
     }
-    let spec: ConfigSpec = spec.parse().ok()?;
-    let len_parsed: RunLength = len.parse().ok()?;
-    let canonical = RunRequest::bench(bench, WORKLOAD_SEED)
-        .config(spec)
-        .length(len_parsed)
-        .to_string();
-    Some((canonical, format!("{name}__{bench}__{len}.kv")))
+
+    fn insert(&mut self, key: String, stats: SimStats) {
+        if self.map.insert(key.clone(), stats).is_none() {
+            self.order.push_back(key);
+            if self.order.len() > RESULTS_CAPACITY {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.map.remove(&oldest);
+                }
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
+}
+
+/// A memo miss falls back to the result store; a verified hit is
+/// memoized again.
+fn recall(state: &ServerState, canonical: &str) -> Option<SimStats> {
+    let stats = match state.store.as_ref()?.get(canonical) {
+        Ok(stats) => stats?,
+        Err(Rejection::Stale(why) | Rejection::Quarantined(why)) => {
+            eprintln!("[serve: result store {why}; re-simulating]");
+            return None;
+        }
+    };
+    state
+        .results
+        .lock()
+        .expect("results lock")
+        .insert(canonical.to_string(), stats.clone());
+    Some(stats)
+}
+
+macro_rules! stat_fields {
+    ($m:ident) => {
+        $m!(
+            cycles,
+            committed_uops,
+            committed_loads,
+            unique_issued,
+            issued_total,
+            replayed_miss,
+            replayed_bank,
+            replayed_prf,
+            replay_events_miss,
+            replay_events_bank,
+            replay_events_prf,
+            wrong_path_issued,
+            cond_branches,
+            cond_mispredicts,
+            target_mispredicts,
+            bank_delayed_loads,
+            bank_delay_cycles,
+            loads_merged_into_mshr,
+            dram_row_hits,
+            dram_row_misses,
+            loads_spec_woken,
+            loads_conservative,
+            filter_sure_hit,
+            filter_sure_miss,
+            filter_unstable,
+            crit_predicted_critical,
+            crit_predicted_noncritical,
+            memdep_violations,
+            dispatch_stall_cycles,
+            recovery_buffer_replays,
+            degrade_entries,
+            degrade_cycles,
+            faults_injected
+        )
+    };
+}
+
+macro_rules! cache_fields {
+    ($m:ident) => {
+        $m!(
+            accesses,
+            hits,
+            misses,
+            mshr_merges,
+            prefetches,
+            prefetch_hits
+        )
+    };
 }
 
 /// Serializes statistics as one `k=v ...` wire line (the `done` payload).
 pub fn stats_to_wire(s: &SimStats) -> String {
-    stats_to_kv(s)
-        .lines()
-        .map(|l| l.replacen(' ', "=", 1))
-        .collect::<Vec<_>>()
-        .join(" ")
+    let mut fields = Vec::new();
+    macro_rules! w {
+        ($($f:ident),*) => { $( fields.push(format!("{}={}", stringify!($f), s.$f)); )* };
+    }
+    stat_fields!(w);
+    macro_rules! wc {
+        ($($f:ident),*) => { $(
+            fields.push(format!("l1d.{}={}", stringify!($f), s.l1d.$f));
+            fields.push(format!("l2.{}={}", stringify!($f), s.l2.$f));
+        )* };
+    }
+    cache_fields!(wc);
+    fields.join(" ")
 }
 
-/// Parses the `k=v ...` wire line back into statistics.
+/// Parses the `k=v ...` wire line back into statistics; `None` without
+/// the core progress counters (`cycles`, `committed_uops`). Other
+/// missing fields default to 0.
 pub fn stats_from_wire(line: &str) -> Option<SimStats> {
-    let kv: String = line
+    let map: HashMap<&str, u64> = line
         .split_whitespace()
-        .filter_map(|t| t.split_once('='))
-        .map(|(k, v)| format!("{k} {v}\n"))
+        .filter_map(|t| {
+            let (k, v) = t.split_once('=')?;
+            Some((k, v.parse().ok()?))
+        })
         .collect();
-    stats_from_kv(&kv)
+    if !map.contains_key("cycles") || !map.contains_key("committed_uops") {
+        return None;
+    }
+    let mut s = SimStats::default();
+    macro_rules! r {
+        ($($f:ident),*) => { $( s.$f = map.get(stringify!($f)).copied().unwrap_or(0); )* };
+    }
+    stat_fields!(r);
+    let mut l1d = CacheStats::default();
+    let mut l2 = CacheStats::default();
+    macro_rules! rc {
+        ($($f:ident),*) => { $(
+            l1d.$f = map.get(concat!("l1d.", stringify!($f))).copied().unwrap_or(0);
+            l2.$f = map.get(concat!("l2.", stringify!($f))).copied().unwrap_or(0);
+        )* };
+    }
+    cache_fields!(rc);
+    s.l1d = l1d;
+    s.l2 = l2;
+    Some(s)
 }
 
 fn accept_loop(state: &Arc<ServerState>, listener: UnixListener) {
@@ -964,13 +1056,8 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
         }
     };
     let canonical = req.to_string();
-    if let Some(stats) = state
-        .results
-        .lock()
-        .expect("results lock")
-        .get(&canonical)
-        .cloned()
-    {
+    let memoized = state.results.lock().expect("results lock").get(&canonical);
+    if let Some(stats) = memoized.or_else(|| recall(state, &canonical)) {
         state.cache_hits.fetch_add(1, Ordering::SeqCst);
         send(state, conn, &format!("ack {id} cached"));
         send(state, conn, &format!("done {id} {}", stats_to_wire(&stats)));
@@ -989,6 +1076,7 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
         );
         return;
     }
+    let durable = req.snapshot_path().is_none();
     // Satisfy disk-snapshot forks from the resident warm-state store.
     if let Some(path) = req.snapshot_path().map(str::to_string) {
         let hit = state
@@ -1032,6 +1120,7 @@ fn handle_run(state: &Arc<ServerState>, conn: &Arc<Conn>, rest: &str) {
         id: id.to_string(),
         prio,
         canonical,
+        durable,
         req,
         cost_key,
         cancel: Arc::clone(&cancel),
@@ -1120,6 +1209,7 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
         seq,
         id,
         canonical,
+        durable,
         req,
         cost_key,
         cancel,
@@ -1154,6 +1244,11 @@ fn run_job(state: &Arc<ServerState>, job: Job) {
                 .lock()
                 .expect("ema lock")
                 .observe(&cost_key, ms.max(1));
+            if let (Some(store), true) = (&state.store, durable) {
+                if let Err(e) = store.put(&canonical, &outcome.stats) {
+                    eprintln!("[serve: result store write failed: {e}]");
+                }
+            }
             state
                 .results
                 .lock()
@@ -1235,7 +1330,7 @@ pub fn run_serve_cli(args: &[String]) -> i32 {
                          \x20 --socket PATH            socket path (experiments.sock)\n\
                          \x20 --jobs N                 worker threads (cores - 1)\n\
                          \x20 --queue-depth D          admission bound (64)\n\
-                         \x20 --checkpoint-dir DIR     preload results from a sweep checkpoint\n\
+                         \x20 --checkpoint-dir DIR     serve and record results in DIR/cache\n\
                          \x20 --interactive-max-ms MS  interactive cost ceiling (200)\n\
                          \x20 --bulk-min-ms MS         bulk cost floor (2000)\n\
                          \x20 --read-timeout-ms MS     reader liveness poll (1000)\n\
@@ -1603,22 +1698,34 @@ mod tests {
         assert!(line.contains("cycles=12345"), "{line}");
         let back = stats_from_wire(&line).expect("parses");
         assert_eq!(back, s);
+        // Every field travels, in a fixed order: the cache counters last.
+        assert!(
+            line.starts_with("cycles=12345 committed_uops=678 "),
+            "{line}"
+        );
+        assert!(
+            line.ends_with(" l1d.prefetch_hits=0 l2.prefetch_hits=0"),
+            "{line}"
+        );
     }
 
     #[test]
-    fn journal_keys_translate_only_for_standard_cells() {
-        let (canonical, file) =
-            translate_journal_key("SpecSched_4_Crit|SpecSched_4_Crit|fp_compute|w1000m5000")
-                .expect("standard cell translates");
-        assert_eq!(
-            canonical,
-            "src=bench:fp_compute@0xb5 cfg=SpecSched_4_Crit len=w1000m5000"
+    fn malformed_wire_stats_are_rejected() {
+        assert!(stats_from_wire("garbage").is_none());
+        assert!(stats_from_wire("cycles=notanumber committed_uops=1").is_none());
+        assert!(
+            stats_from_wire("cycles=5").is_none(),
+            "committed_uops required"
         );
-        assert_eq!(file, "SpecSched_4_Crit__fp_compute__w1000m5000.kv");
-        // Renamed test cells and malformed keys are skipped, not errors.
-        assert!(translate_journal_key("odd-name|SpecSched_4|fp_compute|w1m2").is_none());
-        assert!(translate_journal_key("SpecSched_4|SpecSched_4|fp_compute").is_none());
-        assert!(translate_journal_key("Bogus_4|Bogus_4|fp_compute|w1m2").is_none());
+    }
+
+    #[test]
+    fn missing_wire_fields_default_to_zero() {
+        let s = stats_from_wire("cycles=10 committed_uops=20").expect("parses");
+        assert_eq!(s.cycles, 10);
+        assert_eq!(s.committed_uops, 20);
+        assert_eq!(s.replayed_prf, 0);
+        assert_eq!(s.l2.misses, 0);
     }
 
     #[test]
@@ -1710,6 +1817,56 @@ mod tests {
         assert!(
             refused.starts_with("err p1 poison is disabled"),
             "{refused}"
+        );
+        drop(c);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn results_memo_is_bounded_and_keeps_the_newest() {
+        let dir = std::env::temp_dir().join(format!("ss-serve-memo-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let server = Server::start(ServeOptions {
+            socket: dir.join("memo.sock"),
+            jobs: 1,
+            ..ServeOptions::default()
+        })
+        .expect("server starts");
+        let mut c = UnixStream::connect(server.socket()).unwrap();
+        let mut lines = BufReader::new(c.try_clone().unwrap()).lines();
+        let text = |i: usize| format!("src=bench:fp_compute@{i:#x} cfg=SpecSched_4 len=w200m2000");
+        let stats = SimStats {
+            cycles: 7,
+            committed_uops: 3,
+            ..Default::default()
+        };
+        for i in 0..RESULTS_CAPACITY + 37 {
+            server
+                .state
+                .results
+                .lock()
+                .unwrap()
+                .insert(text(i), stats.clone());
+            if i % 1024 == 0 || i >= RESULTS_CAPACITY {
+                c.write_all(b"stats\n").unwrap();
+                let line = lines.next().unwrap().unwrap();
+                let held: usize = line
+                    .split(' ')
+                    .find_map(|f| f.strip_prefix("results="))
+                    .and_then(|n| n.parse().ok())
+                    .expect("stats line carries results=");
+                assert!(held <= RESULTS_CAPACITY, "memo grew past its bound: {line}");
+            }
+        }
+        let held = server.state.results.lock().unwrap().len();
+        assert_eq!(held, RESULTS_CAPACITY, "the oldest entries were evicted");
+        let newest = text(RESULTS_CAPACITY + 36);
+        c.write_all(format!("run n {newest}\n").as_bytes()).unwrap();
+        assert_eq!(lines.next().unwrap().unwrap(), "ack n cached");
+        assert_eq!(
+            lines.next().unwrap().unwrap(),
+            format!("done n {}", stats_to_wire(&stats))
         );
         drop(c);
         server.shutdown();

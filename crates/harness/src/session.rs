@@ -5,9 +5,10 @@
 //! The session is the harness's fault boundary. Each cell runs under
 //! [`Session::try_run`], which catches panics and structured
 //! [`SimError`]s and records them in [`Session::failures`] so one broken
-//! cell cannot abort a whole sweep. On-disk cache entries carry a format
-//! version and an FNV-1a checksum. *Stale* entries (older format version
-//! or another cell's key — expected across builds) are deleted and
+//! cell cannot abort a whole sweep. The on-disk cache is a
+//! [`ResultStore`] keyed by the cell's canonical request text
+//! ([`Session::request_key`]). *Stale* entries (another store format or
+//! another request — expected across builds) are deleted and
 //! re-simulated, counted in [`Session::cache_rejected`]; *corrupt*
 //! entries (damaged bytes) are quarantined to `<name>.corrupt` for
 //! inspection and counted separately in [`Session::cache_quarantined`].
@@ -22,27 +23,16 @@
 //! snapshot identity guarantee.
 
 use crate::configs::NamedConfig;
-use crate::journal::SweepJournal;
+use crate::store::{Rejection, ResultStore};
 use ss_core::{RunLength, RunRequest};
 use ss_snapshot::Snapshot;
-use ss_types::{CacheStats, SimConfig, SimError, SimStats};
+use ss_types::{SimConfig, SimError, SimStats};
 use ss_workloads::{Benchmark, KernelSpec, BENCHMARKS};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 /// Seed used for all workload generation (fixed for reproducibility).
 pub const WORKLOAD_SEED: u64 = 0xB5;
-
-/// On-disk cache format version. Bump whenever the simulator's behaviour
-/// or the serialized field set changes incompatibly, so stale entries
-/// from older builds are re-simulated instead of silently reused.
-/// v3 added the canonical cell key (name, [`crate::configs::ConfigSpec`]
-/// string, benchmark, run length) to the header, so a renamed variant or
-/// a different run length can never read a stale entry.
-pub const CACHE_FORMAT_VERSION: u32 = 3;
-
-/// Magic tag leading every cache file's header line.
-const CACHE_MAGIC: &str = "ss-stats-cache";
 
 /// One failed (configuration × benchmark) cell of a sweep.
 ///
@@ -55,8 +45,8 @@ pub struct CellFailure {
     pub config: String,
     /// Benchmark name.
     pub bench: String,
-    /// Canonical cell key (`{name}|{spec}|{bench}|w{W}m{M}`), exactly as
-    /// stamped into the stats cache — paste it back into a session to
+    /// Canonical cell key (`{name}|{spec}|{bench}|w{W}m{M}`), naming the
+    /// display name, config spec, benchmark and run length needed to
     /// re-run the identical cell.
     pub cell_key: String,
     /// For fuzz cells: the seed the whole cell (config × kernel × fault
@@ -69,7 +59,7 @@ pub struct CellFailure {
 /// Runs simulations and caches their statistics.
 pub struct Session {
     len: RunLength,
-    cache_dir: Option<PathBuf>,
+    store: Option<ResultStore>,
     mem: HashMap<(String, String), SimStats>,
     /// Memoized failed cells: a cell that failed once is not re-simulated
     /// on later recalls (each figure sharing it gets the same error back).
@@ -77,8 +67,8 @@ pub struct Session {
     disk_warned: bool,
     /// Simulations actually executed (not served from cache).
     pub simulated: u64,
-    /// On-disk cache entries rejected as *stale* (older format version or
-    /// another cell's key; deleted and re-simulated).
+    /// On-disk cache entries rejected as *stale* (another store format or
+    /// another request's key; deleted and re-simulated).
     pub cache_rejected: u64,
     /// On-disk cache entries rejected as *corrupt* (damaged bytes;
     /// quarantined to `<name>.corrupt` and re-simulated).
@@ -91,8 +81,6 @@ pub struct Session {
     pub failures: Vec<CellFailure>,
     /// Warm-state snapshot directory, when warm forking is enabled.
     warm_dir: Option<PathBuf>,
-    /// Crash-safe record of completed cells, when attached.
-    journal: Option<SweepJournal>,
 }
 
 impl Session {
@@ -102,7 +90,7 @@ impl Session {
     pub fn new(len: RunLength, cache_dir: Option<PathBuf>) -> Self {
         let mut sess = Session {
             len,
-            cache_dir: None,
+            store: None,
             mem: HashMap::new(),
             failed: HashMap::new(),
             disk_warned: false,
@@ -112,15 +100,19 @@ impl Session {
             warm_forked: 0,
             failures: Vec::new(),
             warm_dir: None,
-            journal: None,
         };
         if let Some(d) = cache_dir {
-            match std::fs::create_dir_all(&d) {
-                Ok(()) => sess.cache_dir = Some(d),
+            match ResultStore::open(&d) {
+                Ok(store) => sess.store = Some(store),
                 Err(e) => sess.disk_cache_failed(&format!("create {}", d.display()), &e),
             }
         }
         sess
+    }
+
+    /// The on-disk result store, when one is attached.
+    pub fn store(&self) -> Option<&ResultStore> {
+        self.store.as_ref()
     }
 
     /// The run length in use.
@@ -141,7 +133,7 @@ impl Session {
     pub fn fork_worker(&self) -> Session {
         Session {
             len: self.len,
-            cache_dir: self.cache_dir.clone(),
+            store: self.store.clone(),
             mem: HashMap::new(),
             failed: HashMap::new(),
             disk_warned: self.disk_warned,
@@ -151,7 +143,6 @@ impl Session {
             warm_forked: 0,
             failures: Vec::new(),
             warm_dir: self.warm_dir.clone(),
-            journal: self.journal.as_ref().and_then(|j| j.reopen().ok()),
         }
     }
 
@@ -168,45 +159,34 @@ impl Session {
         }
     }
 
-    /// Attaches the crash-safe sweep journal at `path`, creating it if
-    /// absent. Returns the number of cells already on record (a resumed
-    /// sweep's completed work).
-    pub fn attach_journal(&mut self, path: &Path) -> std::io::Result<usize> {
-        let journal = SweepJournal::open(path)?;
-        let completed = journal.completed();
-        self.journal = Some(journal);
-        Ok(completed)
-    }
-
-    /// The attached sweep journal, if any.
-    pub fn journal(&self) -> Option<&SweepJournal> {
-        self.journal.as_ref()
-    }
-
     /// Logs a disk-cache failure once and degrades to in-memory-only
     /// caching for the rest of the session.
-    fn disk_cache_failed(&mut self, what: &str, err: &std::io::Error) {
+    fn disk_cache_failed(&mut self, what: &str, err: &dyn std::fmt::Display) {
         if !self.disk_warned {
-            eprintln!("warning: stats cache disabled (failed to {what}: {err}); continuing in-memory only");
+            eprintln!("warning: result store disabled (failed to {what}: {err}); continuing in-memory only");
             self.disk_warned = true;
         }
-        self.cache_dir = None;
+        self.store = None;
     }
 
-    fn cache_path(&self, cfg: &str, bench: &str) -> Option<PathBuf> {
-        self.cache_dir.as_ref().map(|d| {
-            d.join(format!(
-                "{cfg}__{bench}__w{}m{}.kv",
-                self.len.warmup, self.len.measure
-            ))
+    /// The cell's [`ResultStore`] key: its canonical request text
+    /// (`src=bench:{bench}@{seed} cfg={spec} len=w{W}m{M}`), the same text
+    /// `experiments serve` answers. `None` for a configuration whose
+    /// display name is not its [`ConfigSpec`] (a test's custom machine):
+    /// the spec would not describe it, so it is cached in memory only.
+    ///
+    /// [`ConfigSpec`]: crate::configs::ConfigSpec
+    pub fn request_key(&self, cfg: &NamedConfig, bench: &str) -> Option<String> {
+        (cfg.name == cfg.spec.to_string()).then(|| {
+            RunRequest::bench(bench, WORKLOAD_SEED)
+                .config(cfg.spec)
+                .length(self.len)
+                .to_string()
         })
     }
 
-    /// The canonical cell key stamped into (and validated against) every
-    /// on-disk cache entry: display name, [`ConfigSpec`] canonical
-    /// string, benchmark, and run length. A renamed variant, a name that
-    /// drifted from its spec, or a different run length all change the
-    /// key, so none of them can read a stale entry.
+    /// The cell's identity in failure notes: display name,
+    /// [`ConfigSpec`] canonical string, benchmark, and run length.
     ///
     /// [`ConfigSpec`]: crate::configs::ConfigSpec
     pub fn cell_key(&self, cfg: &NamedConfig, bench: &str) -> String {
@@ -229,34 +209,25 @@ impl Session {
         if let Some(e) = self.failed.get(&key) {
             return Err(e.clone());
         }
-        if let Some(path) = self.cache_path(&cfg.name, bench.name) {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                match stats_from_cache_file(&path, &text, &self.cell_key(cfg, bench.name)) {
-                    Ok(s) => {
-                        self.journal_done(&self.cell_key(cfg, bench.name));
-                        self.mem.insert(key, s.clone());
-                        return Ok(s);
-                    }
-                    Err(e) if rejection_is_stale(&e) => {
-                        // Written by another build or cell identity —
-                        // expected across upgrades; delete and re-simulate.
-                        self.cache_rejected += 1;
-                        eprintln!("warning: {e}; re-simulating");
-                        let _ = std::fs::remove_file(&path);
-                    }
-                    Err(e) => {
-                        // Damaged bytes: keep the evidence (quarantined
-                        // under `<name>.corrupt`) and re-simulate.
-                        self.cache_quarantined += 1;
-                        let q = ss_snapshot::quarantine_path(&path);
-                        eprintln!(
-                            "warning: {e}; quarantining to {} and re-simulating",
-                            q.display()
-                        );
-                        if std::fs::rename(&path, &q).is_err() {
-                            let _ = std::fs::remove_file(&path);
-                        }
-                    }
+        let store_key = self.request_key(cfg, bench.name);
+        if let (Some(store), Some(k)) = (&self.store, &store_key) {
+            match store.get(k) {
+                Ok(Some(s)) => {
+                    self.mem.insert(key, s.clone());
+                    return Ok(s);
+                }
+                Ok(None) => {}
+                Err(Rejection::Stale(why)) => {
+                    // Written by another build or for another request —
+                    // expected across upgrades; deleted, re-simulate.
+                    self.cache_rejected += 1;
+                    eprintln!("warning: result store {why}; re-simulating");
+                }
+                Err(Rejection::Quarantined(why)) => {
+                    // Damaged bytes: the evidence is kept under
+                    // `<name>.corrupt`; re-simulate.
+                    self.cache_quarantined += 1;
+                    eprintln!("warning: result store {why}; quarantined, re-simulating");
                 }
             }
         }
@@ -289,29 +260,14 @@ impl Session {
             }
         };
         self.simulated += 1;
-        if let Some(path) = self.cache_path(&cfg.name, bench.name) {
-            let body = stats_to_cache_file(&stats, &self.cell_key(cfg, bench.name));
-            if let Err(e) = std::fs::write(&path, body) {
-                self.disk_cache_failed(&format!("write {}", path.display()), &e);
+        if let (Some(store), Some(k)) = (&self.store, &store_key) {
+            if let Err(e) = store.put(k, &stats) {
+                let what = format!("write {}", store.path(k).display());
+                self.disk_cache_failed(&what, &e);
             }
         }
-        self.journal_done(&cell_key);
         self.mem.insert(key, stats.clone());
         Ok(stats)
-    }
-
-    /// Durably journals a completed cell (no-op without a journal; I/O
-    /// failures are logged once and disable the journal for the session).
-    fn journal_done(&mut self, cell_key: &str) {
-        if let Some(j) = &mut self.journal {
-            if let Err(e) = j.record(cell_key) {
-                eprintln!(
-                    "warning: sweep journal {} unwritable ({e}); journaling disabled",
-                    j.path().display()
-                );
-                self.journal = None;
-            }
-        }
     }
 
     fn warm_path(&self, cfg: &str, bench: &str) -> Option<PathBuf> {
@@ -399,15 +355,6 @@ impl Session {
     }
 }
 
-/// Whether a cache rejection is *stale* (written by another build or
-/// cell identity — routine) rather than *corrupt* (damaged bytes).
-fn rejection_is_stale(e: &SimError) -> bool {
-    match e {
-        SimError::CacheCorrupt { reason, .. } => reason.contains("stale entry"),
-        _ => false,
-    }
-}
-
 /// Runs one cell, forking off a warm-state snapshot when a directory is
 /// attached. Returns the warmup-corrected statistics and whether the
 /// warmup simulation was skipped via an on-disk snapshot.
@@ -479,224 +426,11 @@ fn run_cell(
     Ok((s, false))
 }
 
-/// FNV-1a 64-bit hash (cache-file integrity checksum).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Serializes statistics with the versioned, checksummed cache header.
-/// `cell_key` is the canonical cell identity ([`Session::cell_key`])
-/// the entry is bound to; reads expecting a different key reject it.
-pub fn stats_to_cache_file(s: &SimStats, cell_key: &str) -> String {
-    let body = stats_to_kv(s);
-    format!(
-        "{CACHE_MAGIC} v{CACHE_FORMAT_VERSION} {:016x} {cell_key}\n{body}",
-        fnv1a64(body.as_bytes())
-    )
-}
-
-/// Parses a cache file, enforcing the version stamp, checksum, and the
-/// canonical cell key the caller expects. Rejected entries come back as
-/// [`SimError::CacheCorrupt`] and should be re-simulated.
-pub fn stats_from_cache_file(
-    path: &Path,
-    text: &str,
-    expected_key: &str,
-) -> Result<SimStats, SimError> {
-    let corrupt = |reason: String| {
-        Err(SimError::CacheCorrupt {
-            path: path.display().to_string(),
-            reason,
-        })
-    };
-    let Some((header, body)) = text.split_once('\n') else {
-        return corrupt("missing header line".into());
-    };
-    let mut parts = header.splitn(4, ' ');
-    if parts.next() != Some(CACHE_MAGIC) {
-        return corrupt("not a stats-cache file (bad magic)".into());
-    }
-    let version = parts.next().unwrap_or("");
-    if version != format!("v{CACHE_FORMAT_VERSION}") {
-        return corrupt(format!(
-            "format version {version} != expected v{CACHE_FORMAT_VERSION} (stale entry)"
-        ));
-    }
-    let Some(want) = parts.next().and_then(|h| u64::from_str_radix(h, 16).ok()) else {
-        return corrupt("unparsable checksum".into());
-    };
-    let key = parts.next().unwrap_or("");
-    if key != expected_key {
-        return corrupt(format!(
-            "cell key `{key}` != expected `{expected_key}` (renamed variant or different run length; stale entry)"
-        ));
-    }
-    let got = fnv1a64(body.as_bytes());
-    if got != want {
-        return corrupt(format!(
-            "checksum mismatch: computed {got:016x}, header {want:016x}"
-        ));
-    }
-    match stats_from_kv(body) {
-        Some(s) => Ok(s),
-        None => corrupt("unparsable statistics body".into()),
-    }
-}
-
-macro_rules! stat_fields {
-    ($m:ident) => {
-        $m!(
-            cycles,
-            committed_uops,
-            committed_loads,
-            unique_issued,
-            issued_total,
-            replayed_miss,
-            replayed_bank,
-            replayed_prf,
-            replay_events_miss,
-            replay_events_bank,
-            replay_events_prf,
-            wrong_path_issued,
-            cond_branches,
-            cond_mispredicts,
-            target_mispredicts,
-            bank_delayed_loads,
-            bank_delay_cycles,
-            loads_merged_into_mshr,
-            dram_row_hits,
-            dram_row_misses,
-            loads_spec_woken,
-            loads_conservative,
-            filter_sure_hit,
-            filter_sure_miss,
-            filter_unstable,
-            crit_predicted_critical,
-            crit_predicted_noncritical,
-            memdep_violations,
-            dispatch_stall_cycles,
-            recovery_buffer_replays,
-            degrade_entries,
-            degrade_cycles,
-            faults_injected
-        )
-    };
-}
-
-macro_rules! cache_fields {
-    ($m:ident) => {
-        $m!(
-            accesses,
-            hits,
-            misses,
-            mshr_merges,
-            prefetches,
-            prefetch_hits
-        )
-    };
-}
-
-/// Serializes statistics to a `key value` line format.
-pub fn stats_to_kv(s: &SimStats) -> String {
-    let mut out = String::new();
-    macro_rules! w {
-        ($($f:ident),*) => { $( out.push_str(&format!("{} {}\n", stringify!($f), s.$f)); )* };
-    }
-    stat_fields!(w);
-    macro_rules! wc {
-        ($($f:ident),*) => { $(
-            out.push_str(&format!("l1d.{} {}\n", stringify!($f), s.l1d.$f));
-            out.push_str(&format!("l2.{} {}\n", stringify!($f), s.l2.$f));
-        )* };
-    }
-    cache_fields!(wc);
-    out
-}
-
-/// Parses statistics from the `key value` format; `None` if the file is
-/// unusable. The core progress counters are required; counters added in
-/// newer builds default to 0 so caches written by slightly older builds
-/// (whose behaviour is identical) remain readable.
-pub fn stats_from_kv(text: &str) -> Option<SimStats> {
-    let map: HashMap<&str, u64> = text
-        .lines()
-        .filter_map(|l| {
-            let (k, v) = l.split_once(' ')?;
-            Some((k, v.parse().ok()?))
-        })
-        .collect();
-    // Required sentinels: a cache file without these is garbage.
-    if !map.contains_key("cycles") || !map.contains_key("committed_uops") {
-        return None;
-    }
-    let mut s = SimStats::default();
-    macro_rules! r {
-        ($($f:ident),*) => { $( s.$f = map.get(stringify!($f)).copied().unwrap_or(0); )* };
-    }
-    stat_fields!(r);
-    let mut l1d = CacheStats::default();
-    let mut l2 = CacheStats::default();
-    macro_rules! rc {
-        ($($f:ident),*) => { $(
-            l1d.$f = map.get(concat!("l1d.", stringify!($f))).copied().unwrap_or(0);
-            l2.$f = map.get(concat!("l2.", stringify!($f))).copied().unwrap_or(0);
-        )* };
-    }
-    cache_fields!(rc);
-    s.l1d = l1d;
-    s.l2 = l2;
-    Some(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::configs;
     use ss_workloads::benchmark;
-
-    #[test]
-    fn kv_roundtrip_preserves_all_fields() {
-        let mut s = SimStats {
-            cycles: 123,
-            committed_uops: 456,
-            replayed_bank: 7,
-            crit_predicted_critical: 13,
-            ..Default::default()
-        };
-        s.l1d.misses = 9;
-        s.l2.prefetches = 11;
-        let text = stats_to_kv(&s);
-        let back = stats_from_kv(&text).expect("parses");
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn malformed_cache_is_rejected() {
-        assert!(stats_from_kv("garbage").is_none());
-        assert!(stats_from_kv("cycles notanumber").is_none());
-        assert!(
-            stats_from_kv("cycles 5").is_none(),
-            "committed_uops required"
-        );
-    }
-
-    #[test]
-    fn older_cache_files_default_new_fields() {
-        let s = stats_from_kv(
-            "cycles 10
-committed_uops 20
-",
-        )
-        .expect("parses");
-        assert_eq!(s.cycles, 10);
-        assert_eq!(s.committed_uops, 20);
-        assert_eq!(s.replayed_prf, 0);
-    }
 
     #[test]
     fn memory_cache_avoids_resimulation() {
@@ -714,163 +448,6 @@ committed_uops 20
         let b = sess.try_run(&cfg, bench).expect("runs");
         assert_eq!(sess.simulated, 1, "second call served from memory");
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn disk_cache_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-test-{}", std::process::id()));
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
-        let cfg = configs::baseline(0);
-        let bench = benchmark("fp_compute").unwrap();
-        let a = {
-            let mut sess = Session::new(len, Some(dir.clone()));
-            sess.try_run(&cfg, bench).expect("runs")
-        };
-        let mut sess2 = Session::new(len, Some(dir.clone()));
-        let b = sess2.try_run(&cfg, bench).expect("runs");
-        assert_eq!(sess2.simulated, 0, "served from disk");
-        assert_eq!(a, b);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn cache_file_header_roundtrips_and_verifies() {
-        let s = SimStats {
-            cycles: 77,
-            committed_uops: 88,
-            degrade_entries: 2,
-            faults_injected: 5,
-            ..Default::default()
-        };
-        let text = stats_to_cache_file(&s, "SpecSched_4|SpecSched_4|fp_compute|w1m2");
-        assert!(text.starts_with(CACHE_MAGIC));
-        let back = stats_from_cache_file(
-            Path::new("t.kv"),
-            &text,
-            "SpecSched_4|SpecSched_4|fp_compute|w1m2",
-        )
-        .expect("verifies");
-        assert_eq!(back, s);
-    }
-
-    #[test]
-    fn cache_file_rejects_tampering_and_stale_versions() {
-        let s = SimStats {
-            cycles: 1,
-            committed_uops: 2,
-            ..Default::default()
-        };
-        let key = "Baseline_0|Baseline_0|fp_compute|w1m2";
-        let good = stats_to_cache_file(&s, key);
-        let p = Path::new("t.kv");
-        // Flipped byte in the body fails the checksum.
-        let tampered = good.replace("cycles 1", "cycles 9");
-        let err = stats_from_cache_file(p, &tampered, key).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-        // Version stamp from an older build is stale.
-        let stale = good.replacen(&format!("v{CACHE_FORMAT_VERSION}"), "v1", 1);
-        let err = stats_from_cache_file(p, &stale, key).unwrap_err();
-        assert!(err.to_string().contains("stale"), "{err}");
-        // An entry written under another cell identity (renamed variant,
-        // different run length) must not be served.
-        let err =
-            stats_from_cache_file(p, &good, "Baseline_0|Baseline_0|fp_compute|w9m9").unwrap_err();
-        assert!(err.to_string().contains("cell key"), "{err}");
-        // Headerless legacy files are rejected outright.
-        let err = stats_from_cache_file(p, "cycles 1\ncommitted_uops 2\n", key).unwrap_err();
-        assert!(matches!(err, SimError::CacheCorrupt { .. }));
-    }
-
-    #[test]
-    fn renamed_variant_cannot_read_a_stale_entry() {
-        // Simulate a rename: an entry cached under one variant's file
-        // name but carrying another cell key must be re-simulated, even
-        // though path, version, and checksum all validate.
-        let dir = std::env::temp_dir().join(format!("ss-harness-rename-{}", std::process::id()));
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
-        let cfg = configs::baseline(0);
-        let bench = benchmark("fp_compute").unwrap();
-        let a = {
-            let mut sess = Session::new(len, Some(dir.clone()));
-            sess.try_run(&cfg, bench).expect("runs")
-        };
-        // Forge the on-disk entry: same stats, same path, but stamped
-        // with a different config identity.
-        let path = dir.join(format!("Baseline_0__fp_compute__w{}m{}.kv", 1000, 5000));
-        let forged = stats_to_cache_file(&a, "Baseline_9|Baseline_9|fp_compute|w1000m5000");
-        std::fs::write(&path, forged).unwrap();
-        let mut sess2 = Session::new(len, Some(dir.clone()));
-        let b = sess2.try_run(&cfg, bench).expect("runs");
-        assert_eq!(sess2.cache_rejected, 1, "forged identity rejected");
-        assert_eq!(sess2.simulated, 1, "forged entry re-simulated");
-        assert_eq!(a, b);
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn corrupted_disk_cache_entry_is_resimulated() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-corrupt-{}", std::process::id()));
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
-        let cfg = configs::baseline(0);
-        let bench = benchmark("fp_compute").unwrap();
-        let a = {
-            let mut sess = Session::new(len, Some(dir.clone()));
-            sess.try_run(&cfg, bench).expect("runs")
-        };
-        // Corrupt the single cache file on disk.
-        let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(entries.len(), 1);
-        let path = entries[0].as_ref().unwrap().path();
-        std::fs::write(&path, "ss-stats-cache v2 0000000000000000\ncycles 1\n").unwrap();
-        let mut sess2 = Session::new(len, Some(dir.clone()));
-        let b = sess2.try_run(&cfg, bench).expect("runs");
-        assert_eq!(sess2.cache_rejected, 1, "corrupt entry detected");
-        assert_eq!(sess2.simulated, 1, "corrupt entry re-simulated");
-        assert_eq!(a, b, "re-simulation reproduces the original result");
-        let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn corrupt_cache_entry_is_quarantined_not_deleted() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-quar-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
-        let cfg = configs::baseline(0);
-        let bench = benchmark("fp_compute").unwrap();
-        let a = {
-            let mut sess = Session::new(len, Some(dir.clone()));
-            sess.try_run(&cfg, bench).expect("runs")
-        };
-        // Flip bytes in the body: version and key still parse, but the
-        // checksum fails — damaged data, not a routine stale entry.
-        let path = dir.join(format!("Baseline_0__fp_compute__w{}m{}.kv", 1000, 5000));
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("cycles ", "cycles 9")).unwrap();
-        let mut sess2 = Session::new(len, Some(dir.clone()));
-        let b = sess2.try_run(&cfg, bench).expect("runs");
-        assert_eq!(sess2.cache_quarantined, 1, "damage is quarantined");
-        assert_eq!(sess2.cache_rejected, 0, "not miscounted as stale");
-        assert_eq!(sess2.simulated, 1, "corrupt entry re-simulated");
-        assert_eq!(a, b);
-        let quarantined: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.path().extension().is_some_and(|x| x == "corrupt"))
-            .collect();
-        assert_eq!(quarantined.len(), 1, "evidence kept as <name>.corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -897,31 +474,6 @@ committed_uops 20
         let second = warm2.try_run(&cfg, bench).expect("runs");
         assert_eq!(warm2.warm_forked, 1, "warmup simulation skipped");
         assert_eq!(second, cold, "forked run is bit-identical");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_records_completed_cells_across_sessions() {
-        let dir = std::env::temp_dir().join(format!("ss-harness-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let len = RunLength {
-            warmup: 1000,
-            measure: 5000,
-        };
-        let cfg = configs::baseline(0);
-        let bench = benchmark("fp_compute").unwrap();
-        let journal_path = dir.join("journal.log");
-        let mut sess = Session::new(len, Some(dir.join("cache")));
-        assert_eq!(sess.attach_journal(&journal_path).unwrap(), 0);
-        sess.try_run(&cfg, bench).expect("runs");
-        let key = sess.cell_key(&cfg, bench.name);
-        assert!(sess.journal().unwrap().contains(&key));
-        // A resumed session sees the completed cell on record and serves
-        // it from the disk cache without re-simulating.
-        let mut resumed = Session::new(len, Some(dir.join("cache")));
-        assert_eq!(resumed.attach_journal(&journal_path).unwrap(), 1);
-        resumed.try_run(&cfg, bench).expect("runs");
-        assert_eq!(resumed.simulated, 0, "served from cache on resume");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

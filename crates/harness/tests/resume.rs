@@ -60,30 +60,36 @@ fn killed_sweep_resumes_to_byte_identical_reports() {
     let (out_a, ckpt_a) = (root.join("out-a"), root.join("ckpt-a"));
     let (out_b, ckpt_b) = (root.join("out-b"), root.join("ckpt-b"));
 
-    // 1. Start the sweep and SIGKILL it as soon as the journal shows the
-    //    first completed cell — mid-sweep by construction (table2 has
+    // 1. Start the sweep and SIGKILL it as soon as the result store holds
+    //    the first completed cell — mid-sweep by construction (table2 has
     //    many cells and a single worker completes them one at a time).
     let mut child = sweep_cmd(&out_a, &ckpt_a, false)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
         .expect("spawns experiments");
-    let journal = ckpt_a.join("journal.log");
+    let store = ckpt_a.join("cache");
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut killed_mid_sweep = false;
     loop {
-        if let Ok(text) = std::fs::read_to_string(&journal) {
-            if text.lines().count() >= 2 {
-                // header + ≥1 record: work is durably underway
-                child.kill().expect("kills child");
-                killed_mid_sweep = true;
-                break;
-            }
+        // Result files are renamed into place whole; temp files carry a
+        // `.tmp.*` extension.
+        let stored = std::fs::read_dir(&store).map_or(0, |entries| {
+            entries
+                .flatten()
+                .filter(|e| !e.file_name().to_string_lossy().contains('.'))
+                .count()
+        });
+        if stored >= 1 {
+            // ≥1 result on record: work is durably underway
+            child.kill().expect("kills child");
+            killed_mid_sweep = true;
+            break;
         }
         if child.try_wait().expect("waits").is_some() {
             break; // finished before we could kill it — resume still must work
         }
-        assert!(Instant::now() < deadline, "sweep never journaled a cell");
+        assert!(Instant::now() < deadline, "sweep never stored a cell");
         std::thread::sleep(Duration::from_millis(5));
     }
     let _ = child.wait();
@@ -101,7 +107,7 @@ fn killed_sweep_resumes_to_byte_identical_reports() {
     if killed_mid_sweep {
         assert!(
             resumed_err.contains("[resume: "),
-            "resume did not report journaled work:\n{resumed_err}"
+            "resume did not report stored work:\n{resumed_err}"
         );
     }
 

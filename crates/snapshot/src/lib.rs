@@ -2,8 +2,9 @@
 //!
 //! A snapshot is a single file (or byte buffer) holding the *entire*
 //! dynamic state of a simulator at one cycle, so a run can be forked or
-//! resumed without replaying its prefix. The container follows the
-//! `ss-stats-cache` header idiom from the harness:
+//! resumed without replaying its prefix. The harness's result store
+//! uses the same container for finished results. One text header line
+//! precedes a binary payload:
 //!
 //! ```text
 //! ss-snapshot v<version> <payload-fnv1a64:016x> <payload-len>\n
@@ -36,6 +37,7 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic tag leading every snapshot header line.
 pub const SNAPSHOT_MAGIC: &str = "ss-snapshot";
@@ -262,16 +264,31 @@ impl Snapshot {
 /// Writes a snapshot atomically: temp file in the same directory, fsync,
 /// rename into place, directory fsync. A crash at any point leaves either
 /// the old file or the new file under `path`, never a torn mix.
+///
+/// The temp name is unique per call (process id plus a process-wide
+/// counter), so concurrent writers of one path — threads or processes —
+/// never truncate each other's temp file; the last rename wins whole.
 pub fn write_atomic(path: &Path, snap: &Snapshot) -> Result<(), SnapshotError> {
+    static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
     let io = |what: &str, e: std::io::Error| SnapshotError::Io(format!("{what}: {e}"));
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let mut f = File::create(&tmp).map_err(|e| io("create temp", e))?;
-    f.write_all(&snap.to_bytes())
-        .map_err(|e| io("write temp", e))?;
-    f.sync_all().map_err(|e| io("fsync temp", e))?;
-    drop(f);
-    fs::rename(&tmp, path).map_err(|e| io("rename into place", e))?;
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = (|| {
+        let mut f = File::create(&tmp).map_err(|e| io("create temp", e))?;
+        f.write_all(&snap.to_bytes())
+            .map_err(|e| io("write temp", e))?;
+        f.sync_all().map_err(|e| io("fsync temp", e))?;
+        drop(f);
+        fs::rename(&tmp, path).map_err(|e| io("rename into place", e))
+    })();
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    written?;
     // Persist the rename itself; without this a crash could lose the
     // directory entry even though the data blocks reached disk.
     if let Ok(d) = File::open(dir) {
@@ -494,6 +511,33 @@ mod tests {
         assert!(quarantine_path(&path).exists(), "torn file quarantined");
         // A missing file is Io, not Corrupt.
         assert!(matches!(read_verified(&path), Err(SnapshotError::Io(_))));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn concurrent_atomic_writes_of_one_path_all_succeed() {
+        let dir = std::env::temp_dir().join(format!("ss-snap-race-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("cell.snap");
+        let s = sample();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..50 {
+                        write_atomic(&path, &s).expect("every concurrent write succeeds");
+                    }
+                });
+            }
+        });
+        assert_eq!(read_verified(&path).expect("final file verifies"), s);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, ["cell.snap"], "no temp file left behind");
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -13,8 +13,6 @@
 //!   consistency) close to where it happened.
 //! * [`SimError::ConfigInvalid`] — a [`SimConfig`](crate::SimConfig)
 //!   failed [`try_validate`](crate::SimConfig::try_validate).
-//! * [`SimError::CacheCorrupt`] — an on-disk stats-cache entry failed its
-//!   version or checksum gate and will be re-simulated.
 //! * [`SimError::TraceInvalid`] — a trace source handed the pipeline a
 //!   malformed µ-op.
 //! * [`SimError::Panicked`] — a cell panicked under `catch_unwind`
@@ -201,13 +199,6 @@ pub enum SimError {
     InvariantViolation(InvariantReport),
     /// A machine configuration is internally inconsistent.
     ConfigInvalid(String),
-    /// An on-disk stats-cache entry is stale or corrupt.
-    CacheCorrupt {
-        /// Path of the offending cache file.
-        path: String,
-        /// Why it was rejected (version mismatch, checksum, parse).
-        reason: String,
-    },
     /// A trace source produced a malformed µ-op.
     TraceInvalid {
         /// PC of the offending µ-op.
@@ -273,9 +264,6 @@ impl fmt::Display for SimError {
             SimError::Deadlock(r) => write!(f, "{r}"),
             SimError::InvariantViolation(r) => write!(f, "{r}"),
             SimError::ConfigInvalid(msg) => write!(f, "invalid configuration: {msg}"),
-            SimError::CacheCorrupt { path, reason } => {
-                write!(f, "corrupt stats cache {path}: {reason}")
-            }
             SimError::TraceInvalid { pc, reason } => {
                 write!(f, "invalid µ-op at pc {pc:#x}: {reason}")
             }
@@ -351,13 +339,6 @@ mod tests {
             (
                 SimError::ConfigInvalid("zero width".into()),
                 "invalid configuration",
-            ),
-            (
-                SimError::CacheCorrupt {
-                    path: "x.kv".into(),
-                    reason: "checksum".into(),
-                },
-                "corrupt stats cache",
             ),
             (
                 SimError::TraceInvalid {

@@ -562,8 +562,8 @@ crate::impl_persist!(crate::SimStats {
     faults_injected,
 });
 
-/// FNV-1a 64-bit hash — the workspace's integrity checksum (same algorithm
-/// as the harness stats cache).
+/// FNV-1a 64-bit hash — the workspace's integrity checksum (it also names
+/// the harness's result-store files).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

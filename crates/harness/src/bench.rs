@@ -1,39 +1,57 @@
-//! The `experiments bench` subcommand: a fixed scheduler-throughput
-//! micro-benchmark grid comparing the event-driven ready queue against
-//! the legacy per-cycle O(ROB) scan.
+//! The `experiments bench` subcommand: a host-independent gate on how
+//! much faster the production stepper is than the reference model.
 //!
 //! ```text
-//! experiments bench [--out FILE] [--smoke] [--baseline FILE]
-//!                   [--max-regress PCT] [--only SUBSTRING]
+//! experiments bench [--out FILE] [--baseline FILE]
 //! ```
 //!
-//! Each cell runs one kernel on one machine shape under **both**
-//! scheduler implementations and records simulated-cycles-per-second of
-//! wall time, wall time, and the process peak RSS. The grid is then run
-//! *as a whole* two ways on one thread — through the production stepper
-//! with the default config, and through the reference model
-//! (`legacy_scan`) — and the aggregate throughput of each lands in the
-//! report's `aggregate` row; the two passes must simulate the same
-//! number of cycles. Results land as JSON (`BENCH_sched.json` by
-//! default; schema documented in EXPERIMENTS.md).
-//! With `--baseline FILE`, the run fails (exit 1) if any cell's
-//! event/legacy speedup ratio — or the aggregate production/reference
-//! ratio, when the baseline records one — regressed more than
-//! `--max-regress` percent (default 20) against the committed baseline
-//! — the ratio, not absolute throughput, so the gate is stable across
-//! host machines. A
-//! *missing* baseline file skips the gate with exit 0 (a fresh branch
-//! has nothing to regress against); only a present-but-unreadable
-//! baseline is an error.
+//! Each cell of a fixed (kernel × machine shape) grid builds one
+//! simulator on the production stepper (default config) and one on the
+//! reference model (`legacy_scan`), warms both up untimed, then steps
+//! them in turn, `SLICE` committed µ-ops at a time, through the
+//! measured part of the fixed length `LEN`, timing each slice. Both
+//! sides see the same host conditions to within one slice, so a
+//! slowdown of the host cancels out of their ratio. A rep must
+//! simulate the same cycle count on both sides. The cell runs `REPS`
+//! reps; its `speedup` is the median rep's ratio of production to
+//! reference throughput, in simulated cycles per second of wall time.
+//! The `aggregate` row is Σ cycles / Σ wall over those same median reps
+//! on each side. Results land as JSON (`BENCH_sched.json` by default;
+//! schema documented in EXPERIMENTS.md).
+//!
+//! With `--baseline FILE`, the run fails (exit 1) if any cell's speedup,
+//! or the aggregate speedup when the baseline records one, fell more
+//! than `MAX_REGRESS_PCT` percent below the baseline's. Ratios, not
+//! absolute throughput, are compared, so the gate holds across hosts.
+//! A baseline recorded at another run length is a usage error (exit 2):
+//! ratios shift with run length. A *missing* baseline file skips the
+//! gate with exit 0 (a fresh branch has nothing to regress against).
 
-use ss_core::{RunLength, RunRequest};
-use ss_frontend::{ProgramSpec, RvTraceSource};
+use ss_core::{RunLength, Simulator};
 use ss_types::SimConfig;
-use ss_workloads::kernels;
-use ss_workloads::TraceSource as _;
+use ss_workloads::{kernels, KernelTrace};
 use std::fmt::Write as _;
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
+
+/// Warm-up and measured µ-ops of every run. Shorter runs give higher
+/// ratios that spread wider, so a baseline gates only runs of this
+/// length.
+const LEN: RunLength = RunLength {
+    warmup: 20_000,
+    measure: 400_000,
+};
+
+/// Committed µ-ops each side runs before the other takes its turn:
+/// about 100 turns per side over `LEN.measure`, each a few
+/// milliseconds long.
+const SLICE: u64 = 4_000;
+
+/// Repetitions per cell; the median rep's ratio is the cell's result.
+const REPS: usize = 3;
+
+/// How far, in percent, a speedup may fall below the baseline's.
+const MAX_REGRESS_PCT: f64 = 20.0;
 
 /// One (kernel × machine shape) grid point.
 struct Cell {
@@ -80,22 +98,31 @@ const GRID: &[Cell] = &[
     },
 ];
 
-/// Measured numbers for one scheduler on one cell.
+/// Simulated cycles and the wall time they took.
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Sample {
     sim_cycles: u64,
     wall_ms: f64,
-    cycles_per_sec: f64,
-    peak_rss_kb: u64,
 }
 
-/// A completed cell: both schedulers plus the ratio the CI gate watches.
-struct CellResult {
-    name: &'static str,
-    kernel: &'static str,
-    rob: u32,
-    event: Sample,
-    legacy: Sample,
-    speedup: f64,
+impl Sample {
+    fn cycles_per_sec(&self) -> f64 {
+        self.sim_cycles as f64 * 1_000.0 / self.wall_ms.max(1e-6)
+    }
+}
+
+/// The same work timed through the production stepper and through the
+/// reference model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pair {
+    production: Sample,
+    reference: Sample,
+}
+
+impl Pair {
+    fn speedup(&self) -> f64 {
+        self.production.cycles_per_sec() / self.reference.cycles_per_sec().max(1e-9)
+    }
 }
 
 fn kernel_spec(name: &str) -> ss_workloads::KernelSpec {
@@ -107,24 +134,11 @@ fn kernel_spec(name: &str) -> ss_workloads::KernelSpec {
     }
 }
 
-/// Process peak RSS in kB from `/proc/self/status` (`VmHWM`); 0 where
-/// procfs is unavailable (non-Linux hosts still produce a valid report).
-fn peak_rss_kb() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Short git revision of the working tree, or `unknown` outside a repo.
+/// Short git revision of the working tree (suffixed `-dirty` when it
+/// has uncommitted changes), or `unknown` outside a repo.
 fn git_rev() -> String {
     std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
+        .args(["describe", "--always", "--dirty"])
         .output()
         .ok()
         .filter(|o| o.status.success())
@@ -132,213 +146,127 @@ fn git_rev() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// `YYYY-MM-DD` (UTC) from a unix timestamp — civil-from-days, so the
-/// harness needs no date dependency.
-fn civil_date(unix: u64) -> String {
-    let days = (unix / 86_400) as i64;
-    let z = days + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1_460 + doe / 36_524 - doe / 146_096) / 365;
-    let y = yoe + era * 400;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = if m <= 2 { y + 1 } else { y };
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-fn cell_config(cell: &Cell, legacy: bool) -> SimConfig {
-    SimConfig::builder()
-        .issue_to_execute_delay(4)
-        .sched_policy(ss_types::SchedPolicyKind::AlwaysHit)
-        .banked_l1d(true)
-        .rob_entries(cell.rob)
-        .iq_entries(cell.iq)
-        .legacy_scan(legacy)
-        .build()
-}
-
-fn run_one(cell: &Cell, legacy: bool, len: RunLength) -> Result<Sample, String> {
-    let cfg = cell_config(cell, legacy);
-    let start = Instant::now();
-    let stats = RunRequest::kernel(kernel_spec(cell.kernel))
-        .custom_config(cfg)
-        .length(len)
-        .execute()
-        .map(|o| o.stats)
-        .map_err(|e| format!("{}: run failed: {e}", cell.name))?;
-    let wall = start.elapsed();
-    let wall_ms = wall.as_secs_f64() * 1_000.0;
-    Ok(Sample {
-        sim_cycles: stats.cycles,
-        wall_ms,
-        cycles_per_sec: stats.cycles as f64 / wall.as_secs_f64().max(1e-9),
-        peak_rss_kb: peak_rss_kb(),
-    })
-}
-
-/// One whole-grid pass measured as a unit: total simulated cycles over
-/// total wall time, with every cell on a single thread.
-struct AggSample {
-    sim_cycles: u64,
-    wall_ms: f64,
-    cycles_per_sec: f64,
-}
-
-/// The aggregate-grid comparison: the same cells run through the
-/// production stepper and through the reference model, both on one
-/// thread.
-struct Aggregate {
-    cells: usize,
-    production: AggSample,
-    reference: AggSample,
-    speedup: f64,
-}
-
-/// One sequential pass over the grid, through the reference model when
-/// `legacy` is set and the production stepper otherwise.
-fn run_pool_pass(cells: &[&Cell], len: RunLength, legacy: bool) -> Result<AggSample, String> {
-    let start = Instant::now();
-    let mut sim_cycles = 0u64;
-    for cell in cells {
-        sim_cycles += run_one(cell, legacy, len)?.sim_cycles;
+/// Runs one rep of `cell`: the production stepper and the reference
+/// model on the same kernel, stepped in alternating `SLICE`s.
+fn run_rep(cell: &Cell) -> Result<Pair, String> {
+    let fail = |e: ss_types::SimError| format!("{}: run failed: {e}", cell.name);
+    let mut sims = [false, true].map(|legacy| {
+        let cfg = SimConfig::builder()
+            .issue_to_execute_delay(4)
+            .sched_policy(ss_types::SchedPolicyKind::AlwaysHit)
+            .banked_l1d(true)
+            .rob_entries(cell.rob)
+            .iq_entries(cell.iq)
+            .legacy_scan(legacy)
+            .build();
+        Simulator::new(cfg, KernelTrace::new(kernel_spec(cell.kernel)))
+    });
+    let mut warm = Vec::with_capacity(2);
+    for sim in &mut sims {
+        warm.push(sim.try_run_committed(LEN.warmup).map_err(fail)?);
     }
-    let wall = start.elapsed();
-    Ok(AggSample {
-        sim_cycles,
-        wall_ms: wall.as_secs_f64() * 1_000.0,
-        cycles_per_sec: sim_cycles as f64 / wall.as_secs_f64().max(1e-9),
-    })
-}
-
-/// Best-of-3 aggregate comparison, interleaved like the per-cell grid.
-/// Fails if the two passes disagree on simulated cycles: the production
-/// stepper must be bit-identical to the reference model.
-fn run_aggregate(cells: &[&Cell], len: RunLength) -> Result<Aggregate, String> {
-    let mut best: [Option<AggSample>; 2] = [None, None];
-    for _rep in 0..3 {
-        for (slot, legacy) in [(0usize, false), (1, true)] {
-            let s = run_pool_pass(cells, len, legacy)?;
-            if best[slot]
-                .as_ref()
-                .is_none_or(|b| s.cycles_per_sec > b.cycles_per_sec)
-            {
-                best[slot] = Some(s);
+    let mut end = warm.clone();
+    let mut wall = [Duration::ZERO; 2];
+    loop {
+        let mut stepped = false;
+        for (i, sim) in sims.iter_mut().enumerate() {
+            let left = (warm[i].committed_uops + LEN.measure).saturating_sub(end[i].committed_uops);
+            if left > 0 {
+                let start = Instant::now();
+                end[i] = sim.try_run_committed(left.min(SLICE)).map_err(fail)?;
+                wall[i] += start.elapsed();
+                stepped = true;
             }
         }
+        if !stepped {
+            break;
+        }
     }
-    let [Some(production), Some(reference)] = best else {
-        unreachable!("three reps filled both slots")
+    let sample = |i: usize| Sample {
+        sim_cycles: end[i].cycles - warm[i].cycles,
+        wall_ms: wall[i].as_secs_f64() * 1_000.0,
     };
-    if production.sim_cycles != reference.sim_cycles {
-        return Err(format!(
-            "production stepper simulated {} cycles, reference model {}",
-            production.sim_cycles, reference.sim_cycles
-        ));
-    }
-    let speedup = production.cycles_per_sec / reference.cycles_per_sec.max(1e-9);
-    Ok(Aggregate {
-        cells: cells.len(),
-        production,
-        reference,
-        speedup,
+    Ok(Pair {
+        production: sample(0),
+        reference: sample(1),
     })
 }
 
-/// Measured decode+crack throughput of the RV32IM frontend on its own
-/// (no pipeline attached): µ-ops emitted per second of wall time.
-struct FrontendSample {
-    uops: u64,
-    wall_ms: f64,
-    uops_per_sec: f64,
-}
-
-/// Pulls `uops` µ-ops out of a fresh [`RvTraceSource`] over the suite's
-/// `sort` program — pure interpret+crack cost, the frontend-side ceiling
-/// on real-program simulation speed.
-fn run_frontend(uops: u64) -> Result<FrontendSample, String> {
-    let prog = ProgramSpec::suite("sort", 1).resolve()?;
-    let mut src = RvTraceSource::new(prog);
-    let start = Instant::now();
-    for _ in 0..uops {
-        let u = src.next_uop();
-        std::hint::black_box(&u);
+/// Folds one cell's reps into its result: the rep with the median
+/// speedup. Every rep must simulate the same cycles on both sides,
+/// because the production stepper is bit-identical to the reference
+/// model.
+fn median_rep(name: &str, reps: &[Pair]) -> Result<Pair, String> {
+    for (i, r) in reps.iter().enumerate() {
+        if r.production.sim_cycles != r.reference.sim_cycles {
+            return Err(format!(
+                "{name} rep {i}: production stepper simulated {} cycles, reference model {}",
+                r.production.sim_cycles, r.reference.sim_cycles
+            ));
+        }
     }
-    let wall = start.elapsed();
-    Ok(FrontendSample {
-        uops,
-        wall_ms: wall.as_secs_f64() * 1_000.0,
-        uops_per_sec: uops as f64 / wall.as_secs_f64().max(1e-9),
-    })
+    let mut sorted = reps.to_vec();
+    sorted.sort_by(|a, b| a.speedup().total_cmp(&b.speedup()));
+    sorted
+        .get(sorted.len() / 2)
+        .copied()
+        .ok_or_else(|| format!("{name}: no reps"))
 }
 
-fn frontend_json(s: &FrontendSample) -> String {
-    format!(
-        "{{\"program\": \"rv:sort@0x1\", \"uops\": {}, \"wall_ms\": {:.3}, \"uops_per_sec\": {:.1}}}",
-        s.uops, s.wall_ms, s.uops_per_sec
-    )
+/// The whole grid as one sweep: Σ cycles / Σ wall on each side, over
+/// the per-cell samples.
+fn aggregate(cells: &[Pair]) -> Pair {
+    let sum = |side: fn(&Pair) -> Sample| Sample {
+        sim_cycles: cells.iter().map(|c| side(c).sim_cycles).sum(),
+        wall_ms: cells.iter().map(|c| side(c).wall_ms).sum(),
+    };
+    Pair {
+        production: sum(|p| p.production),
+        reference: sum(|p| p.reference),
+    }
 }
 
 fn sample_json(s: &Sample) -> String {
     format!(
-        "{{\"sim_cycles\": {}, \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}, \"peak_rss_kb\": {}}}",
-        s.sim_cycles, s.wall_ms, s.cycles_per_sec, s.peak_rss_kb
-    )
-}
-
-fn agg_sample_json(s: &AggSample) -> String {
-    format!(
         "{{\"sim_cycles\": {}, \"wall_ms\": {:.3}, \"cycles_per_sec\": {:.1}}}",
-        s.sim_cycles, s.wall_ms, s.cycles_per_sec
+        s.sim_cycles,
+        s.wall_ms,
+        s.cycles_per_sec()
     )
 }
 
-fn aggregate_json(a: &Aggregate) -> String {
-    format!(
-        "{{\"cells\": {}, \"production\": {}, \"reference\": {}, \"speedup\": {:.3}}}",
-        a.cells,
-        agg_sample_json(&a.production),
-        agg_sample_json(&a.reference),
-        a.speedup
-    )
-}
-
-/// Renders the full report document (schema `bench_sched/v1`; the
-/// `frontend` and `aggregate` keys are additive — per-cell gating reads
-/// `cells`, and the aggregate gate reads `aggregate.speedup` only when
-/// the baseline carries it).
-fn report_json(
-    results: &[CellResult],
-    frontend: &FrontendSample,
-    aggregate: &Aggregate,
-    len: RunLength,
-) -> String {
+/// Renders the report document (schema `bench_sched/v2`); `results`
+/// pairs up with [`GRID`].
+fn report_json(results: &[Pair], aggregate: &Pair) -> String {
     let unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"bench_sched/v1\",");
+    let _ = writeln!(out, "  \"schema\": \"bench_sched/v2\",");
     let _ = writeln!(out, "  \"git_rev\": \"{}\",", git_rev());
-    let _ = writeln!(out, "  \"date\": \"{}\",", civil_date(unix));
     let _ = writeln!(out, "  \"unix_time\": {unix},");
-    let _ = writeln!(out, "  \"warmup\": {},", len.warmup);
-    let _ = writeln!(out, "  \"measure\": {},", len.measure);
-    let _ = writeln!(out, "  \"frontend\": {},", frontend_json(frontend));
-    let _ = writeln!(out, "  \"aggregate\": {},", aggregate_json(aggregate));
+    let _ = writeln!(out, "  \"warmup\": {},", LEN.warmup);
+    let _ = writeln!(out, "  \"measure\": {},", LEN.measure);
+    let _ = writeln!(
+        out,
+        "  \"aggregate\": {{\"cells\": {}, \"production\": {}, \"reference\": {}, \"speedup\": {:.3}}},",
+        results.len(),
+        sample_json(&aggregate.production),
+        sample_json(&aggregate.reference),
+        aggregate.speedup()
+    );
     let _ = writeln!(out, "  \"cells\": [");
-    for (i, r) in results.iter().enumerate() {
+    for (i, (cell, r)) in GRID.iter().zip(results).enumerate() {
         let comma = if i + 1 == results.len() { "" } else { "," };
         let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", r.name);
-        let _ = writeln!(out, "      \"kernel\": \"{}\",", r.kernel);
-        let _ = writeln!(out, "      \"rob\": {},", r.rob);
-        let _ = writeln!(out, "      \"event\": {},", sample_json(&r.event));
-        let _ = writeln!(out, "      \"legacy\": {},", sample_json(&r.legacy));
-        let _ = writeln!(out, "      \"speedup\": {:.3}", r.speedup);
+        let _ = writeln!(out, "      \"name\": \"{}\",", cell.name);
+        let _ = writeln!(out, "      \"kernel\": \"{}\",", cell.kernel);
+        let _ = writeln!(out, "      \"rob\": {},", cell.rob);
+        let _ = writeln!(out, "      \"event\": {},", sample_json(&r.production));
+        let _ = writeln!(out, "      \"legacy\": {},", sample_json(&r.reference));
+        let _ = writeln!(out, "      \"speedup\": {:.3}", r.speedup());
         let _ = writeln!(out, "    }}{comma}");
     }
     let _ = writeln!(out, "  ]");
@@ -346,277 +274,185 @@ fn report_json(
     out
 }
 
-/// Reads the baseline's aggregate production/reference speedup, if the document
-/// carries one (`None` on baselines written before the aggregate row —
-/// the gate then skips that check rather than failing on an older
-/// baseline).
-fn baseline_aggregate_speedup(path: &PathBuf) -> Result<Option<f64>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = ss_trace::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(doc
-        .get("aggregate")
-        .and_then(|a| a.get("speedup"))
-        .and_then(|s| s.as_num()))
+/// What the gate reads out of a committed baseline document.
+struct Baseline {
+    len: RunLength,
+    cells: Vec<(String, f64)>,
+    aggregate: Option<f64>,
 }
 
-/// Reads `name → speedup` pairs out of a committed baseline document.
-fn baseline_speedups(path: &PathBuf) -> Result<Vec<(String, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = ss_trace::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let cells = doc
+fn read_baseline(path: &Path) -> Result<Baseline, String> {
+    let at = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+    let text = std::fs::read_to_string(path).map_err(|e| at(&e))?;
+    let doc = ss_trace::json::parse(&text).map_err(|e| at(&e))?;
+    let count = |key: &str| {
+        doc.get(key)
+            .and_then(|v| v.as_num())
+            .map(|v| v as u64)
+            .ok_or_else(|| at(&format!("no `{key}`")))
+    };
+    let len = RunLength {
+        warmup: count("warmup")?,
+        measure: count("measure")?,
+    };
+    let mut cells = Vec::new();
+    for c in doc
         .get("cells")
         .and_then(|c| c.as_arr())
-        .ok_or_else(|| format!("{}: no `cells` array", path.display()))?;
-    let mut out = Vec::new();
-    for c in cells {
-        let name = c
-            .get("name")
-            .and_then(|n| n.as_str())
-            .ok_or("cell without name")?
-            .to_string();
-        let speedup = c
-            .get("speedup")
-            .and_then(|s| s.as_num())
-            .ok_or("cell without speedup")?;
-        out.push((name, speedup));
+        .ok_or_else(|| at(&"no `cells` array"))?
+    {
+        let name = c.get("name").and_then(|n| n.as_str());
+        let speedup = c.get("speedup").and_then(|s| s.as_num());
+        let (Some(name), Some(speedup)) = (name, speedup) else {
+            return Err(at(&"cell without name or speedup"));
+        };
+        cells.push((name.to_string(), speedup));
     }
-    Ok(out)
+    let aggregate = doc
+        .get("aggregate")
+        .and_then(|a| a.get("speedup"))
+        .and_then(|s| s.as_num());
+    Ok(Baseline {
+        len,
+        cells,
+        aggregate,
+    })
+}
+
+/// Failure lines for every ratio that regressed past `MAX_REGRESS_PCT`.
+fn regressions(base: &Baseline, results: &[Pair], aggregate: &Pair) -> Vec<String> {
+    let check = |name: &str, now: f64, then: f64| {
+        let floor = then * (1.0 - MAX_REGRESS_PCT / 100.0);
+        (now < floor).then(|| {
+            format!(
+                "{name}: speedup {now:.2}x fell below {floor:.2}x \
+                 (baseline {then:.2}x − {MAX_REGRESS_PCT}%)"
+            )
+        })
+    };
+    let mut failed = Vec::new();
+    for (name, then) in &base.cells {
+        match GRID.iter().position(|c| c.name == name) {
+            Some(i) => failed.extend(check(name, results[i].speedup(), *then)),
+            None => eprintln!("warn: baseline cell `{name}` not in current grid; skipped"),
+        }
+    }
+    if let Some(then) = base.aggregate {
+        failed.extend(check("aggregate_grid", aggregate.speedup(), then));
+    }
+    failed
+}
+
+fn print_row(name: &str, p: &Pair) {
+    println!(
+        "  {name:<24} prod {:>10.0} c/s  ref {:>10.0} c/s  speedup {:.2}x",
+        p.production.cycles_per_sec(),
+        p.reference.cycles_per_sec(),
+        p.speedup()
+    );
 }
 
 /// Entry point for `experiments bench`; returns the process exit code.
 pub fn run_cli(args: &[String]) -> i32 {
     let mut out_path = PathBuf::from("BENCH_sched.json");
-    let mut baseline: Option<PathBuf> = None;
-    let mut only: Option<String> = None;
-    let mut max_regress_pct = 20.0f64;
-    let mut len = RunLength {
-        warmup: 20_000,
-        measure: 400_000,
-    };
+    let mut baseline_path: Option<PathBuf> = None;
     let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(v) => out_path = PathBuf::from(v),
-                None => {
-                    eprintln!("error: --out needs a file");
-                    return 2;
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(v) => baseline = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("error: --baseline needs a file");
-                    return 2;
-                }
-            },
-            "--only" => match it.next() {
-                Some(v) => only = Some(v.clone()),
-                None => {
-                    eprintln!("error: --only needs a cell-name substring");
-                    return 2;
-                }
-            },
-            "--max-regress" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => max_regress_pct = v,
-                None => {
-                    eprintln!("error: --max-regress needs a percentage");
-                    return 2;
-                }
-            },
-            "--smoke" => {
-                // CI-sized: enough committed work for stable ratios,
-                // small enough for a PR gate.
-                len = RunLength {
-                    warmup: 5_000,
-                    measure: 60_000,
-                }
+    let parsed = (|| -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--out" => out_path = crate::flag_value("--out", it.next())?,
+                "--baseline" => baseline_path = Some(crate::flag_value("--baseline", it.next())?),
+                other => return Err(format!("unknown bench option `{other}`")),
             }
-            other => {
-                eprintln!("error: unknown bench option `{other}`");
+        }
+        Ok(())
+    })();
+    if let Err(e) = parsed {
+        eprintln!("error: {e}");
+        eprintln!("usage: experiments bench [--out FILE] [--baseline FILE]");
+        return 2;
+    }
+
+    // Read the baseline before the run, so a mismatched one fails fast.
+    // A missing baseline is not a failure: a fresh branch has nothing to
+    // gate against.
+    let baseline = match baseline_path {
+        None => None,
+        Some(path) if !path.exists() => {
+            println!(
+                "bench: no baseline at {} — gate skipped (commit one to enable regression gating)",
+                path.display()
+            );
+            None
+        }
+        Some(path) => match read_baseline(&path) {
+            Ok(b) if b.len != LEN => {
                 eprintln!(
-                    "usage: experiments bench [--out FILE] [--smoke] [--baseline FILE] \
-                     [--max-regress PCT] [--only SUBSTRING]"
+                    "error: baseline {} was recorded at {} but bench runs {}; \
+                     re-record it with `experiments bench --out {}`",
+                    path.display(),
+                    b.len,
+                    LEN,
+                    path.display()
                 );
                 return 2;
             }
-        }
-    }
-
-    let cells: Vec<&Cell> = GRID
-        .iter()
-        .filter(|c| only.as_deref().is_none_or(|o| c.name.contains(o)))
-        .collect();
-    println!(
-        "bench: {} cells × {} committed µ-ops (warmup {})",
-        cells.len(),
-        len.measure,
-        len.warmup
-    );
-    let mut results = Vec::with_capacity(cells.len());
-    for cell in cells {
-        // Best-of-3, interleaved: wall-clock noise on a shared host hits
-        // both schedulers alike, and the fastest repetition of each is
-        // the least-perturbed measurement.
-        let mut best: [Option<Sample>; 2] = [None, None];
-        for _rep in 0..3 {
-            for (slot, legacy) in [(0usize, false), (1, true)] {
-                let s = match run_one(cell, legacy, len) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return 1;
-                    }
-                };
-                if best[slot]
-                    .as_ref()
-                    .is_none_or(|b| s.cycles_per_sec > b.cycles_per_sec)
-                {
-                    best[slot] = Some(s);
-                }
-            }
-        }
-        let [Some(event), Some(legacy)] = best else {
-            unreachable!("three reps filled both slots")
-        };
-        let speedup = event.cycles_per_sec / legacy.cycles_per_sec.max(1e-9);
-        println!(
-            "  {:<24} event {:>10.0} c/s  legacy {:>10.0} c/s  speedup {:.2}x",
-            cell.name, event.cycles_per_sec, legacy.cycles_per_sec, speedup
-        );
-        results.push(CellResult {
-            name: cell.name,
-            kernel: cell.kernel,
-            rob: cell.rob,
-            event,
-            legacy,
-            speedup,
-        });
-    }
-
-    // Frontend decode+crack throughput: best-of-3, same noise logic as
-    // the scheduler cells.
-    let mut frontend: Option<FrontendSample> = None;
-    for _rep in 0..3 {
-        let s = match run_frontend(len.measure) {
-            Ok(s) => s,
+            Ok(b) => Some((path, b)),
             Err(e) => {
-                eprintln!("error: frontend bench: {e}");
+                eprintln!("error: baseline: {e}");
+                return 1;
+            }
+        },
+    };
+
+    println!(
+        "bench: {} cells × {} committed µ-ops (warmup {}), {REPS} reps in {SLICE}-µ-op slices",
+        GRID.len(),
+        LEN.measure,
+        LEN.warmup
+    );
+    let mut results = Vec::with_capacity(GRID.len());
+    for cell in GRID {
+        let measured = (0..REPS)
+            .map(|_| run_rep(cell))
+            .collect::<Result<Vec<_>, String>>()
+            .and_then(|reps| median_rep(cell.name, &reps));
+        let r = match measured {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("error: {e}");
                 return 1;
             }
         };
-        if frontend
-            .as_ref()
-            .is_none_or(|b| s.uops_per_sec > b.uops_per_sec)
-        {
-            frontend = Some(s);
-        }
+        print_row(cell.name, &r);
+        results.push(r);
     }
-    let Some(frontend) = frontend else {
-        unreachable!("three reps filled the frontend slot")
-    };
-    println!(
-        "  {:<24} decode+crack {:>10.0} µops/s ({} µops)",
-        "frontend_rv_sort", frontend.uops_per_sec, frontend.uops
-    );
+    let agg = aggregate(&results);
+    print_row("aggregate_grid", &agg);
 
-    // Aggregate-grid throughput: the whole selected grid through the
-    // production stepper vs the reference model, one thread, best-of-3.
-    let grid: Vec<&Cell> = GRID
-        .iter()
-        .filter(|c| only.as_deref().is_none_or(|o| c.name.contains(o)))
-        .collect();
-    let aggregate = match run_aggregate(&grid, len) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: aggregate bench: {e}");
-            return 1;
-        }
-    };
-    println!(
-        "  {:<24} prod  {:>10.0} c/s  ref    {:>10.0} c/s  speedup {:.2}x",
-        "aggregate_grid",
-        aggregate.production.cycles_per_sec,
-        aggregate.reference.cycles_per_sec,
-        aggregate.speedup
-    );
-
-    let doc = report_json(&results, &frontend, &aggregate, len);
     if let Some(dir) = out_path.parent().filter(|d| !d.as_os_str().is_empty()) {
         let _ = std::fs::create_dir_all(dir);
     }
-    if let Err(e) = std::fs::write(&out_path, &doc) {
+    if let Err(e) = std::fs::write(&out_path, report_json(&results, &agg)) {
         eprintln!("error: writing {}: {e}", out_path.display());
         return 1;
     }
     println!("bench: wrote {}", out_path.display());
 
-    if let Some(base_path) = baseline {
-        // A missing baseline is not a failure: first runs on a fresh
-        // branch (or a CI job before the baseline is committed) have
-        // nothing to gate against. Only a present-but-unreadable baseline
-        // fails the run.
-        if !base_path.exists() {
-            println!(
-                "bench: no baseline at {} — gate skipped (commit one to enable regression gating)",
-                base_path.display()
-            );
-            return 0;
-        }
-        let base = match baseline_speedups(&base_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("error: baseline: {e}");
-                return 1;
-            }
-        };
-        let mut failed = false;
-        for (name, base_speedup) in base {
-            let Some(r) = results.iter().find(|r| r.name == name) else {
-                eprintln!("warn: baseline cell `{name}` not in current grid; skipped");
-                continue;
-            };
-            // Gate on the event/legacy ratio: machine-speed independent.
-            let floor = base_speedup * (1.0 - max_regress_pct / 100.0);
-            if r.speedup < floor {
-                eprintln!(
-                    "FAIL: {name}: speedup {:.2}x fell below {floor:.2}x \
-                     (baseline {base_speedup:.2}x − {max_regress_pct}%)",
-                    r.speedup
-                );
-                failed = true;
-            }
-        }
-        // Aggregate production/reference ratio: gated only when the baseline
-        // records one (additive key — older baselines skip this check).
-        match baseline_aggregate_speedup(&base_path) {
-            Ok(Some(base_agg)) => {
-                let floor = base_agg * (1.0 - max_regress_pct / 100.0);
-                if aggregate.speedup < floor {
-                    eprintln!(
-                        "FAIL: aggregate_grid: production/reference speedup {:.2}x fell below {floor:.2}x \
-                         (baseline {base_agg:.2}x − {max_regress_pct}%)",
-                        aggregate.speedup
-                    );
-                    failed = true;
-                }
-            }
-            Ok(None) => {
-                println!("bench: baseline has no aggregate row — aggregate gate skipped");
-            }
-            Err(e) => {
-                eprintln!("error: baseline: {e}");
-                return 1;
-            }
-        }
-        if failed {
-            return 1;
-        }
-        println!(
-            "bench: all cells within {max_regress_pct}% of baseline {}",
-            base_path.display()
-        );
+    let Some((path, base)) = baseline else {
+        return 0;
+    };
+    let failed = regressions(&base, &results, &agg);
+    for f in &failed {
+        eprintln!("FAIL: {f}");
     }
+    if !failed.is_empty() {
+        return 1;
+    }
+    println!(
+        "bench: all ratios within {MAX_REGRESS_PCT}% of baseline {}",
+        path.display()
+    );
     0
 }
 
@@ -624,144 +460,121 @@ pub fn run_cli(args: &[String]) -> i32 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn civil_date_round_trips_known_epochs() {
-        assert_eq!(civil_date(0), "1970-01-01");
-        assert_eq!(civil_date(951_782_400), "2000-02-29");
-        assert_eq!(civil_date(1_785_974_400), "2026-08-06");
+    fn sample(sim_cycles: u64, wall_ms: f64) -> Sample {
+        Sample {
+            sim_cycles,
+            wall_ms,
+        }
     }
 
-    #[test]
-    fn report_json_parses_and_carries_the_gate_fields() {
-        let results = vec![CellResult {
-            name: "dep_chain_l2_rob192",
-            kernel: "dep_chain_l2",
-            rob: 192,
-            event: Sample {
-                sim_cycles: 1_000,
-                wall_ms: 2.0,
-                cycles_per_sec: 500_000.0,
-                peak_rss_kb: 4_096,
-            },
-            legacy: Sample {
-                sim_cycles: 1_000,
-                wall_ms: 4.0,
-                cycles_per_sec: 250_000.0,
-                peak_rss_kb: 4_096,
-            },
-            speedup: 2.0,
-        }];
-        let frontend = FrontendSample {
-            uops: 10_000,
-            wall_ms: 5.0,
-            uops_per_sec: 2_000_000.0,
-        };
-        let aggregate = Aggregate {
-            cells: 5,
-            production: AggSample {
-                sim_cycles: 5_000,
-                wall_ms: 8.0,
-                cycles_per_sec: 625_000.0,
-            },
-            reference: AggSample {
-                sim_cycles: 5_000,
-                wall_ms: 10.0,
-                cycles_per_sec: 500_000.0,
-            },
-            speedup: 1.25,
-        };
-        let doc = report_json(
-            &results,
-            &frontend,
-            &aggregate,
-            RunLength {
-                warmup: 1,
-                measure: 2,
-            },
-        );
-        let parsed = ss_trace::json::parse(&doc).expect("self-emitted JSON parses");
-        let cells = parsed.get("cells").and_then(|c| c.as_arr()).unwrap();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(
-            cells[0].get("speedup").and_then(|s| s.as_num()),
-            Some(2.0),
-            "the CI gate reads this field"
-        );
-        assert_eq!(
-            cells[0]
-                .get("event")
-                .and_then(|e| e.get("cycles_per_sec"))
-                .and_then(|v| v.as_num()),
-            Some(500_000.0)
-        );
-        assert!(parsed.get("schema").and_then(|s| s.as_str()) == Some("bench_sched/v1"));
-        let fe = parsed.get("frontend").expect("frontend row present");
-        assert_eq!(
-            fe.get("program").and_then(|p| p.as_str()),
-            Some("rv:sort@0x1")
-        );
-        assert_eq!(
-            fe.get("uops_per_sec").and_then(|v| v.as_num()),
-            Some(2_000_000.0)
-        );
-        let agg = parsed.get("aggregate").expect("aggregate row present");
-        assert_eq!(
-            agg.get("speedup").and_then(|v| v.as_num()),
-            Some(1.25),
-            "the aggregate CI gate reads this field"
-        );
-        assert_eq!(
-            agg.get("production")
-                .and_then(|l| l.get("cycles_per_sec"))
-                .and_then(|v| v.as_num()),
-            Some(625_000.0)
-        );
+    fn pair(cycles: u64, production_ms: f64, reference_ms: f64) -> Pair {
+        Pair {
+            production: sample(cycles, production_ms),
+            reference: sample(cycles, reference_ms),
+        }
     }
 
-    #[test]
-    fn baseline_aggregate_speedup_is_optional() {
-        let dir = std::env::temp_dir().join("ss_bench_agg_test");
+    fn temp_file(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ss_bench_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
-        // An older baseline without the aggregate row: the gate skips.
+        dir.join(name)
+    }
+
+    #[test]
+    fn aggregate_sums_cycles_and_wall_over_the_cells() {
+        let cells = [pair(1_000, 2.0, 8.0), pair(3_000, 6.0, 8.0)];
+        let agg = aggregate(&cells);
+        assert_eq!(agg.production, sample(4_000, 8.0));
+        assert_eq!(agg.reference, sample(4_000, 16.0));
+        assert_eq!(agg.production.cycles_per_sec(), 500_000.0);
+        assert_eq!(agg.speedup(), 2.0);
+    }
+
+    #[test]
+    fn median_rep_is_the_middle_ratio() {
+        let reps = [
+            pair(1_000, 4.0, 12.0),
+            pair(1_000, 5.0, 5.0),
+            pair(1_000, 2.0, 4.0),
+        ];
+        assert_eq!(median_rep("c", &reps).unwrap(), reps[2]);
+        assert!(median_rep("c", &[]).is_err());
+    }
+
+    #[test]
+    fn cycle_mismatch_in_any_rep_is_an_error() {
+        let mut bad = pair(1_000, 4.0, 8.0);
+        bad.reference.sim_cycles = 1_001;
+        let err = median_rep("dep_chain_l2_rob192", &[pair(1_000, 4.0, 8.0), bad]).unwrap_err();
+        assert!(err.contains("dep_chain_l2_rob192 rep 1"), "{err}");
+        assert!(err.contains("1000") && err.contains("1001"), "{err}");
+    }
+
+    #[test]
+    fn report_reads_back_as_a_baseline() {
+        let results: Vec<Pair> = (1..=GRID.len() as u64)
+            .map(|i| pair(1_000 * i, 1.0, 2.0 * i as f64))
+            .collect();
+        let agg = aggregate(&results);
+        let path = temp_file("report.json");
+        std::fs::write(&path, report_json(&results, &agg)).unwrap();
+        let base = read_baseline(&path).unwrap();
+        assert_eq!(base.len, LEN);
+        let names: Vec<&str> = base.cells.iter().map(|(n, _)| n.as_str()).collect();
+        let grid: Vec<&str> = GRID.iter().map(|c| c.name).collect();
+        assert_eq!(names, grid);
+        for ((_, speedup), r) in base.cells.iter().zip(&results) {
+            assert_eq!(*speedup, r.speedup());
+        }
+        assert_eq!(base.aggregate, Some(agg.speedup()));
+        assert!(regressions(&base, &results, &agg).is_empty());
+        // A baseline without an aggregate row gates the cells only.
         std::fs::write(
             &path,
-            "{\"schema\": \"bench_sched/v1\", \"cells\": [{\"name\": \"a\", \"speedup\": 1.5}]}",
+            "{\"warmup\": 20000, \"measure\": 400000, \"cells\": []}",
         )
         .unwrap();
-        assert_eq!(baseline_aggregate_speedup(&path).unwrap(), None);
-        // A current baseline carries it.
-        std::fs::write(
-            &path,
-            "{\"schema\": \"bench_sched/v1\", \"aggregate\": {\"speedup\": 1.12}, \"cells\": []}",
-        )
-        .unwrap();
-        assert_eq!(baseline_aggregate_speedup(&path).unwrap(), Some(1.12));
+        assert_eq!(read_baseline(&path).unwrap().aggregate, None);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn frontend_bench_emits_real_uops() {
-        let s = run_frontend(5_000).expect("suite program resolves");
-        assert_eq!(s.uops, 5_000);
-        assert!(s.uops_per_sec > 0.0);
+    fn regressed_ratios_fail_the_gate() {
+        let results = vec![pair(1_000, 1.0, 2.0); GRID.len()];
+        let base = Baseline {
+            len: LEN,
+            cells: vec![("mix_int_rob192".into(), 2.6), ("gone".into(), 9.0)],
+            aggregate: Some(2.4),
+        };
+        let failed = regressions(&base, &results, &aggregate(&results));
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].starts_with("mix_int_rob192:"), "{failed:?}");
+        let base = Baseline {
+            aggregate: Some(2.6),
+            ..base
+        };
+        let failed = regressions(&base, &results, &aggregate(&results));
+        assert!(failed[1].starts_with("aggregate_grid:"), "{failed:?}");
     }
 
     #[test]
-    fn baseline_gate_reads_speedups() {
-        let dir = std::env::temp_dir().join("ss_bench_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("baseline.json");
+    fn baseline_at_another_length_is_rejected_before_running() {
+        let path = temp_file("short_baseline.json");
         std::fs::write(
             &path,
-            "{\"schema\": \"bench_sched/v1\", \"cells\": [\
-             {\"name\": \"a\", \"speedup\": 1.5}, {\"name\": \"b\", \"speedup\": 2.25}]}",
+            "{\"schema\": \"bench_sched/v1\", \"warmup\": 5000, \"measure\": 60000, \
+             \"cells\": [{\"name\": \"mix_int_rob192\", \"speedup\": 1.5}]}",
         )
         .unwrap();
-        let base = baseline_speedups(&path).unwrap();
-        assert_eq!(base.len(), 2);
-        assert_eq!(base[0], ("a".to_string(), 1.5));
-        assert_eq!(base[1], ("b".to_string(), 2.25));
+        let out = temp_file("unwritten.json");
+        let args = [
+            "--baseline".to_string(),
+            path.display().to_string(),
+            "--out".to_string(),
+            out.display().to_string(),
+        ];
+        assert_eq!(run_cli(&args), 2);
+        assert!(!out.exists(), "a rejected baseline must stop the run");
         let _ = std::fs::remove_file(&path);
     }
 }

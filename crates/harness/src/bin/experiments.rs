@@ -8,8 +8,7 @@
 //!             [--campaign-seed S] [--repro FILE]
 //! experiments trace --bench NAME --config SPEC [--config SPEC2]
 //!             [--window LO..HI] [--format perfetto|pipeview] [--out FILE]
-//! experiments bench [--out FILE] [--smoke] [--baseline FILE]
-//!             [--max-regress PCT]
+//! experiments bench [--out FILE] [--baseline FILE]
 //! experiments snapfuzz [--seeds N] [--seed S]
 //! experiments serve --socket PATH [--jobs N] [--queue-depth D]
 //!             [--checkpoint-dir DIR]

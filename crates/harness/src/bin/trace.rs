@@ -21,8 +21,10 @@
 //! [--window LO..HI] [--format perfetto|pipeview]`.
 
 use ss_core::Simulator;
-use ss_harness::ConfigSpec;
+use ss_harness::{flag_value, ConfigSpec};
 use ss_workloads::{benchmark, KernelTrace};
+
+const USAGE: &str = "usage: trace <benchmark> [--config NAME] [--cycles N] [--skip N] [--every N]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -32,20 +34,31 @@ fn main() {
     let mut skip = 1_000u64;
     let mut every = 1u64;
     let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--config" => config_name = it.next().expect("--config needs a name"),
-            "--cycles" => cycles = it.next().and_then(|v| v.parse().ok()).expect("--cycles N"),
-            "--skip" => skip = it.next().and_then(|v| v.parse().ok()).expect("--skip N"),
-            "--every" => every = it.next().and_then(|v| v.parse().ok()).expect("--every N"),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: trace <benchmark> [--config NAME] [--cycles N] [--skip N] [--every N]"
-                );
-                return;
+    let parsed = (|| -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--config" => config_name = flag_value("--config", it.next())?,
+                "--cycles" => cycles = flag_value("--cycles", it.next())?,
+                "--skip" => skip = flag_value("--skip", it.next())?,
+                "--every" => {
+                    every = flag_value("--every", it.next())?;
+                    if every == 0 {
+                        return Err("--every must be at least 1".into());
+                    }
+                }
+                "--help" | "-h" => {
+                    eprintln!("{USAGE}");
+                    std::process::exit(0);
+                }
+                other => bench_name = Some(other.to_string()),
             }
-            other => bench_name = Some(other.to_string()),
         }
+        Ok(())
+    })();
+    if let Err(e) = parsed {
+        eprintln!("error: {e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
     }
     let bench_name = bench_name.unwrap_or_else(|| "crafty_like".to_string());
     let Some(bench) = benchmark(&bench_name) else {

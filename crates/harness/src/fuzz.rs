@@ -29,6 +29,7 @@
 //! sequentially afterwards (failures are rare and shrink runs are
 //! cheap).
 
+use crate::flag_value;
 use crate::serve::stats_to_wire;
 use crate::session::CellFailure;
 use ss_core::{FaultPlan, RunLength, RunRequest};
@@ -483,6 +484,16 @@ pub fn write_repro(cell: &FuzzCell, campaign_seed: u64, error: &SimError) -> Str
     out
 }
 
+/// Parses a decimal or `0x`-prefixed hex `u64` (repro fields, seeds).
+fn parse_u64(v: &str) -> Result<u64, String> {
+    let v = v.trim();
+    if let Some(hex) = v.strip_prefix("0x") {
+        u64::from_str_radix(hex, 16).map_err(|e| format!("bad number `{v}`: {e}"))
+    } else {
+        v.parse().map_err(|e| format!("bad number `{v}`: {e}"))
+    }
+}
+
 /// Parses a repro file back into a cell and the recorded
 /// first-divergence seq (if the original failure was a divergence).
 pub fn parse_repro(text: &str) -> Result<(FuzzCell, Option<u64>), String> {
@@ -507,14 +518,6 @@ pub fn parse_repro(text: &str) -> Result<(FuzzCell, Option<u64>), String> {
         seed_bug: false,
     };
     let mut recorded_seq = None;
-    let parse_u64 = |v: &str| -> Result<u64, String> {
-        let v = v.trim();
-        if let Some(hex) = v.strip_prefix("0x") {
-            u64::from_str_radix(hex, 16).map_err(|e| format!("bad number `{v}`: {e}"))
-        } else {
-            v.parse().map_err(|e| format!("bad number `{v}`: {e}"))
-        }
-    };
     for line in lines {
         let Some((key, val)) = line.split_once(' ') else {
             continue;
@@ -794,28 +797,19 @@ pub fn run_cli(args: &[String]) -> i32 {
     let mut repro: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        let mut grab = |what: &str| -> Result<String, String> {
-            it.next().cloned().ok_or(format!("{what} needs a value"))
-        };
         let parsed: Result<(), String> = (|| {
             match a.as_str() {
-                "--seeds" => opts.cells = grab("--seeds")?.parse().map_err(|e| format!("{e}"))?,
+                "--seeds" => opts.cells = flag_value("--seeds", it.next())?,
                 "--smoke" => opts.run = 2_000,
-                "--jobs" | "-j" => {
-                    opts.jobs = grab("--jobs")?.parse().map_err(|e| format!("{e}"))?
-                }
-                "--out" => opts.out_dir = Some(PathBuf::from(grab("--out")?)),
+                "--jobs" | "-j" => opts.jobs = flag_value("--jobs", it.next())?,
+                "--out" => opts.out_dir = Some(flag_value("--out", it.next())?),
                 "--campaign-seed" => {
-                    let v = grab("--campaign-seed")?;
-                    let v = v.trim();
-                    opts.campaign_seed = if let Some(hex) = v.strip_prefix("0x") {
-                        u64::from_str_radix(hex, 16).map_err(|e| format!("{e}"))?
-                    } else {
-                        v.parse().map_err(|e| format!("{e}"))?
-                    };
+                    let v: String = flag_value("--campaign-seed", it.next())?;
+                    opts.campaign_seed =
+                        parse_u64(&v).map_err(|e| format!("--campaign-seed: {e}"))?;
                 }
                 "--seed-bug" => opts.seed_bug = true,
-                "--repro" => repro = Some(PathBuf::from(grab("--repro")?)),
+                "--repro" => repro = Some(flag_value("--repro", it.next())?),
                 "--no-progress" => {} // accepted for CLI symmetry; fuzz has no live line
                 other => return Err(format!("unknown fuzz option `{other}`")),
             }

@@ -11,9 +11,6 @@
 //!   capture for fuzzing and failure reports ("flight recorder").
 //! * [`CaptureSink`] — keeps everything (optionally only a µ-op sequence
 //!   window) for offline rendering.
-//! * [`SpillSink`] — streams the stable one-line text encoding to any
-//!   `io::Write` for full-run captures too large for memory, with
-//!   [`read_spill`] to load them back.
 //! * [`perfetto::export_chrome_trace`] — Chrome-trace-event JSON
 //!   (`chrome://tracing`, [Perfetto](https://ui.perfetto.dev)): one
 //!   track per pipeline stage, counter tracks for occupancy, and flow
@@ -35,11 +32,9 @@ pub mod json;
 pub mod perfetto;
 pub mod pipeview;
 mod ring;
-mod spill;
 
 pub use capture::CaptureSink;
 pub use ring::RingSink;
-pub use spill::{read_spill, SpillSink};
 
 // Re-export the vocabulary so sink users need only one crate.
 pub use ss_types::trace::{NullSink, TraceEvent, TraceSink};

@@ -30,15 +30,13 @@
 //! by cycle (a `Fetch` is back-dated once its µ-op reaches dispatch). The
 //! `cycle` field is authoritative; consumers sort or bucket by it.
 //!
-//! Every event has a stable single-line text encoding ([`fmt::Display`] /
-//! [`std::str::FromStr`]) used by the spill-to-disk sink and the trace
-//! artifacts attached to fuzz repros.
+//! Every event has a stable single-line text encoding ([`fmt::Display`])
+//! used by the deadlock and divergence reports.
 
 use crate::ids::{Cycle, Pc, SeqNum};
 use crate::op::{BranchKind, OpClass};
 use crate::replay::ReplayCause;
 use std::fmt;
-use std::str::FromStr;
 
 /// One structured pipeline-observability event.
 ///
@@ -244,26 +242,6 @@ pub fn class_code(class: OpClass) -> &'static str {
     }
 }
 
-/// Parses a [`class_code`] back into an [`OpClass`].
-pub fn class_from_code(code: &str) -> Option<OpClass> {
-    Some(match code {
-        "alu" => OpClass::IntAlu,
-        "mul" => OpClass::IntMul,
-        "div" => OpClass::IntDiv,
-        "fpalu" => OpClass::FpAlu,
-        "fpmul" => OpClass::FpMul,
-        "fpdiv" => OpClass::FpDiv,
-        "ld" => OpClass::Load,
-        "st" => OpClass::Store,
-        "br.c" => OpClass::Branch(BranchKind::Conditional),
-        "br.d" => OpClass::Branch(BranchKind::Direct),
-        "br.i" => OpClass::Branch(BranchKind::Indirect),
-        "br.call" => OpClass::Branch(BranchKind::Call),
-        "br.ret" => OpClass::Branch(BranchKind::Return),
-        _ => return None,
-    })
-}
-
 /// Stable code for a replay cause (trace text encoding).
 fn cause_code(cause: ReplayCause) -> &'static str {
     match cause {
@@ -273,18 +251,8 @@ fn cause_code(cause: ReplayCause) -> &'static str {
     }
 }
 
-fn cause_from_code(code: &str) -> Option<ReplayCause> {
-    Some(match code {
-        "miss" => ReplayCause::L1Miss,
-        "bank" => ReplayCause::BankConflict,
-        "prf" => ReplayCause::PrfConflict,
-        _ => return None,
-    })
-}
-
 impl fmt::Display for TraceEvent {
-    /// The stable one-line text encoding (round-trips through
-    /// [`FromStr`]).
+    /// The stable one-line text encoding.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             TraceEvent::Fetch {
@@ -363,107 +331,12 @@ impl fmt::Display for TraceEvent {
     }
 }
 
-impl FromStr for TraceEvent {
-    type Err = String;
-
-    fn from_str(line: &str) -> Result<Self, Self::Err> {
-        let mut tokens = line.split_whitespace();
-        let tag = tokens.next().ok_or("empty trace line")?;
-        let mut fields = std::collections::HashMap::new();
-        for t in tokens {
-            let (k, v) = t
-                .split_once('=')
-                .ok_or_else(|| format!("malformed trace field `{t}`"))?;
-            fields.insert(k, v);
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            let v = fields
-                .get(key)
-                .ok_or_else(|| format!("trace line `{line}` missing `{key}`"))?;
-            if let Some(hex) = v.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                v.parse()
-            }
-            .map_err(|e| format!("bad `{key}` in `{line}`: {e}"))
-        };
-        let cycle = Cycle::new(num("c")?);
-        let seq = |fields_needed: bool| -> Result<SeqNum, String> {
-            debug_assert!(fields_needed);
-            Ok(SeqNum::new(num("s")?))
-        };
-        Ok(match tag {
-            "F" => TraceEvent::Fetch {
-                cycle,
-                seq: seq(true)?,
-                pc: Pc::new(num("pc")?),
-                class: fields
-                    .get("cl")
-                    .and_then(|c| class_from_code(c))
-                    .ok_or_else(|| format!("bad class in `{line}`"))?,
-                wrong_path: num("wp")? != 0,
-            },
-            "D" => TraceEvent::Rename {
-                cycle,
-                seq: seq(true)?,
-            },
-            "W" => TraceEvent::SpecWakeup {
-                cycle,
-                seq: seq(true)?,
-                wake: Cycle::new(num("wake")?),
-            },
-            "I" => TraceEvent::Issue {
-                cycle,
-                seq: seq(true)?,
-                from_recovery: num("rec")? != 0,
-            },
-            "E" => TraceEvent::Execute {
-                cycle,
-                seq: seq(true)?,
-                done_at: Cycle::new(num("done")?),
-            },
-            "R" => TraceEvent::ReplaySquash {
-                cycle,
-                seq: seq(true)?,
-                trigger: SeqNum::new(num("trig")?),
-                cause: fields
-                    .get("cause")
-                    .and_then(|c| cause_from_code(c))
-                    .ok_or_else(|| format!("bad cause in `{line}`"))?,
-            },
-            "V" => TraceEvent::RecoveryEnter {
-                cycle,
-                seq: seq(true)?,
-            },
-            "C" => TraceEvent::Commit {
-                cycle,
-                seq: seq(true)?,
-            },
-            "X" => TraceEvent::Flush {
-                cycle,
-                seq: seq(true)?,
-            },
-            "O" => TraceEvent::Occupancy {
-                cycle,
-                rob: num("rob")? as u32,
-                iq: num("iq")? as u32,
-                lq: num("lq")? as u32,
-                sq: num("sq")? as u32,
-                recovery: num("rec")? as u32,
-                inflight: num("inf")? as u32,
-            },
-            other => return Err(format!("unknown trace event tag `{other}`")),
-        })
-    }
-}
-
 /// The sink contract the pipeline's instrumentation feeds.
 ///
 /// Implementations decide what to keep: a bounded ring ([`recent`] feeds
-/// failure reports), an unbounded capture for a rendering window, or a
-/// spill-to-disk stream. The simulator is generic over the sink, so the
-/// [`NullSink`]'s `ENABLED = false` removes every instrumentation site at
-/// monomorphization time.
+/// failure reports) or an unbounded capture for a rendering window. The
+/// simulator is generic over the sink, so the [`NullSink`]'s `ENABLED =
+/// false` removes every instrumentation site at monomorphization time.
 ///
 /// [`recent`]: TraceSink::recent
 pub trait TraceSink {
@@ -557,48 +430,6 @@ mod tests {
                 inflight: 6,
             },
         ]
-    }
-
-    #[test]
-    fn text_encoding_round_trips_every_variant() {
-        for ev in sample_events() {
-            let line = ev.to_string();
-            let back: TraceEvent = line.parse().unwrap_or_else(|e| panic!("{line}: {e}"));
-            assert_eq!(back, ev, "round-trip failed for `{line}`");
-        }
-    }
-
-    #[test]
-    fn every_class_code_round_trips() {
-        use OpClass::*;
-        let classes = [
-            IntAlu,
-            IntMul,
-            IntDiv,
-            FpAlu,
-            FpMul,
-            FpDiv,
-            Load,
-            Store,
-            Branch(BranchKind::Conditional),
-            Branch(BranchKind::Direct),
-            Branch(BranchKind::Indirect),
-            Branch(BranchKind::Call),
-            Branch(BranchKind::Return),
-        ];
-        for c in classes {
-            assert_eq!(class_from_code(class_code(c)), Some(c));
-        }
-        assert_eq!(class_from_code("bogus"), None);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!("".parse::<TraceEvent>().is_err());
-        assert!("Z c=1 s=2".parse::<TraceEvent>().is_err());
-        assert!("F c=1".parse::<TraceEvent>().is_err(), "missing fields");
-        assert!("F c=x s=1 pc=0 cl=ld wp=0".parse::<TraceEvent>().is_err());
-        assert!("R c=1 s=2 trig=3 cause=??".parse::<TraceEvent>().is_err());
     }
 
     #[test]

@@ -169,10 +169,10 @@ pub struct Simulator<T, S: TraceSink = NullSink> {
     /// Whether a stage that can move wake times or recovery membership
     /// ran since `recovery_ready_at` was computed.
     step_dirty: bool,
-    /// The cycle the gated stepper last maintained its cache at; a
-    /// mismatch means cycles ran outside the stepper (plain `tick`, or a
-    /// snapshot restore) and the cache must be rebuilt.
-    step_stamp: Cycle,
+    /// The last [`TraceEvent::Occupancy`] counts emitted (ROB, IQ, LQ,
+    /// SQ, recovery, in-flight). Sink scratch: never persisted, cleared
+    /// on restore, untouched when the sink is disabled.
+    last_occupancy: Option<[u32; 6]>,
 
     /// Bounded ring of the last `commit_log_window` committed µ-ops (the
     /// canonical commit log; O(window) memory regardless of run length).
@@ -257,7 +257,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
             pending_error: None,
             recovery_ready_at: Cycle::NEVER,
             step_dirty: true,
-            step_stamp: Cycle::ZERO,
+            last_occupancy: None,
             commit_ring: VecDeque::new(),
             diff: None,
             wakeup_bug_armed: false,
@@ -390,25 +390,19 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     /// and counted `cycles` (plus `degrade_cycles` /
     /// `dispatch_stall_cycles` where those stalls hold) without touching
     /// anything else, and the watchdog and periodic invariant checks
-    /// land on exactly the cycles they would have fired on. It steps
-    /// the reference loop itself under `legacy_scan` (the O(ROB) scan
-    /// touches state every cycle) or an enabled trace sink (per-cycle
-    /// occupancy events must be emitted).
+    /// land on exactly the cycles they would have fired on. A traced
+    /// run steps the same cycles and records the same events: stages
+    /// skipped or fast-forwarded are exactly those with nothing to
+    /// report. Under `legacy_scan` it steps the reference loop instead.
     ///
     /// The simulator must not be used further after an error.
     pub fn try_run_committed(&mut self, n: u64) -> Result<SimStats, SimError> {
-        if self.legacy_scan || S::ENABLED {
+        if self.legacy_scan {
             return self.run_reference(n);
         }
         let target = self.stats.committed_uops + n;
         let watchdog = self.cfg.watchdog_cycles;
         let interval = self.cfg.invariant_check_interval;
-        // Cycles may have been simulated outside this driver (plain
-        // `tick`, a traced run, or a snapshot restore) since the
-        // cache was last maintained; refresh it before trusting it.
-        if self.step_stamp != self.now {
-            self.step_dirty = true;
-        }
         while self.stats.committed_uops < target {
             // Bulk fast-forward, legal only when the cached recovery
             // horizon is current (no stage ran since it was computed).
@@ -429,7 +423,6 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
                         skip = skip.min(next_check - self.now.get());
                     }
                     self.advance_quiet(skip, dispatch_stall);
-                    self.step_stamp = self.now;
                 }
                 None => self.tick_fast(),
             }
@@ -438,11 +431,12 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         Ok(self.stats())
     }
 
-    /// The reference loop: one full [`Self::tick`] per cycle.
+    /// The reference loop: one ungated [`Self::tick_reference`] per
+    /// cycle.
     fn run_reference(&mut self, n: u64) -> Result<SimStats, SimError> {
         let target = self.stats.committed_uops + n;
         while self.stats.committed_uops < target {
-            self.tick();
+            self.tick_reference();
             self.end_cycle()?;
         }
         Ok(self.stats())
@@ -465,8 +459,9 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         Ok(())
     }
 
-    /// One *gated* cycle: advances the clock like [`Self::tick`], then
-    /// runs only the stages whose no-op conditions do not hold. Each
+    /// One *gated* cycle: advances the clock like
+    /// [`Self::tick_reference`], then runs only the stages whose no-op
+    /// conditions do not hold, and records an occupancy sample. Each
     /// gate is checked immediately before its stage, in stage order, so
     /// it sees exactly the state the real stage would (a stage that runs
     /// can arm the next — commit firing a store release, execute pushing
@@ -577,7 +572,7 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         {
             self.fetch();
         }
-        self.step_stamp = now;
+        self.record_occupancy();
     }
 
     /// [`Self::ready_to_issue`] for recovery members, answering *when*
@@ -694,11 +689,12 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
     }
 
     /// Advances the clock over `n` quiet cycles, applying exactly the
-    /// statistics a real [`Self::tick`] would have counted on each:
-    /// `cycles` always, `degrade_cycles` while the degradation window is
-    /// active, and `dispatch_stall_cycles` when the probe saw a ready
-    /// frontend head blocked on a structural resource (the condition is
-    /// constant across a quiet window — nothing that feeds it changes).
+    /// statistics a real [`Self::tick_reference`] would have counted on
+    /// each: `cycles` always, `degrade_cycles` while the degradation
+    /// window is active, and `dispatch_stall_cycles` when the probe saw a
+    /// ready frontend head blocked on a structural resource (the
+    /// condition is constant across a quiet window — nothing that feeds
+    /// it changes). Occupancy is constant too, so no sample is recorded.
     fn advance_quiet(&mut self, n: u64, dispatch_stall: bool) {
         debug_assert!(n >= 1);
         self.stats.degrade_cycles += self
@@ -882,14 +878,31 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         Ok(())
     }
 
-    /// Advances the machine one cycle, running every stage in order.
+    /// Advances the machine one cycle.
     ///
-    /// With [`SimConfig::legacy_scan`] set this is *the* reference
-    /// model: every stage walks its structures in full, with no gating,
-    /// fast-forward or event-driven ready set. The production stepper
-    /// ([`Self::try_run_committed`]) must match it bit for bit, and the
-    /// equivalence suites and `experiments bench` check that it does.
+    /// This steps one gated cycle of the production stepper, the same
+    /// machine [`Self::try_run_committed`] runs. With
+    /// [`SimConfig::legacy_scan`] set it steps *the* reference model
+    /// instead: every stage walks its structures in full, with no
+    /// gating, fast-forward or event-driven ready set. The production
+    /// stepper must match it bit for bit, and the equivalence suites,
+    /// `experiments fuzz` and `experiments bench` check that it does.
     pub fn tick(&mut self) {
+        if self.legacy_scan {
+            self.tick_reference();
+        } else {
+            self.tick_fast();
+        }
+    }
+
+    /// One reference cycle: every stage, in order, ungated. Reached only
+    /// under `legacy_scan`, through [`Self::tick`] or
+    /// [`Self::run_reference`].
+    fn tick_reference(&mut self) {
+        debug_assert!(
+            self.legacy_scan,
+            "the ungated stages run only as the reference"
+        );
         self.now += 1;
         self.stats.cycles += 1;
         if self.degraded() {
@@ -901,17 +914,39 @@ impl<T: TraceSource, S: TraceSink> Simulator<T, S> {
         self.issue();
         self.dispatch();
         self.fetch();
-        if S::ENABLED {
-            self.sink.record(TraceEvent::Occupancy {
-                cycle: self.now,
-                rob: self.rob.len() as u32,
-                iq: self.iq_used,
-                lq: self.lq_used,
-                sq: self.sq_used,
-                recovery: self.recovery.iter().map(|(_, g)| g.len() as u32).sum(),
-                inflight: self.inflight.iter().map(|(_, g)| g.len() as u32).sum(),
-            });
+        self.record_occupancy();
+    }
+
+    /// Records a [`TraceEvent::Occupancy`] sample at the end of a
+    /// stepped cycle when any of its counts differs from the last sample
+    /// recorded. A fast-forwarded stretch changes none of them, so it
+    /// needs no sample of its own.
+    fn record_occupancy(&mut self) {
+        if !S::ENABLED {
+            return;
         }
+        let counts = [
+            self.rob.len() as u32,
+            self.iq_used,
+            self.lq_used,
+            self.sq_used,
+            self.recovery.iter().map(|(_, g)| g.len() as u32).sum(),
+            self.inflight.iter().map(|(_, g)| g.len() as u32).sum(),
+        ];
+        if self.last_occupancy == Some(counts) {
+            return;
+        }
+        self.last_occupancy = Some(counts);
+        let [rob, iq, lq, sq, recovery, inflight] = counts;
+        self.sink.record(TraceEvent::Occupancy {
+            cycle: self.now,
+            rob,
+            iq,
+            lq,
+            sq,
+            recovery,
+            inflight,
+        });
     }
 
     /// Counts a replay event and, when graceful degradation is
@@ -2760,8 +2795,10 @@ impl<T: TraceSource + PersistState, S: TraceSink> Simulator<T, S> {
         self.scratch_woken.clear();
         self.scratch_squash.clear();
         self.pending_error = None;
-        // The gated-stepper cache describes the pre-restore machine.
+        // The gated-stepper cache describes the pre-restore machine, and
+        // so does the last occupancy sample.
         self.step_dirty = true;
+        self.last_occupancy = None;
         Ok(())
     }
 

@@ -31,8 +31,8 @@
 //! execution is bit-identical to a single
 //! [`Simulator::try_run_committed`] call because commit targets are
 //! computed against absolute commit counts. Every chunk steps the
-//! production stepper; the per-tick reference loop runs only when a
-//! trace sink is attached or the config sets `legacy_scan`.
+//! production stepper, traced or not; the per-tick reference loop runs
+//! only when the config sets `legacy_scan`.
 
 use crate::diff::DiffChecker;
 use crate::fault::FaultPlan;
@@ -40,11 +40,10 @@ use crate::pipeline::Simulator;
 use ss_frontend::{FrontendOracle, ProgramSpec, RvTraceSource};
 use ss_oracle::InOrderModel;
 use ss_snapshot::Snapshot;
+use ss_trace::{CaptureSink, RingSink, TraceEvent, TraceSink};
 use ss_types::persist::PersistState;
-use ss_types::trace::{TraceEvent, TraceSink};
 use ss_types::{CancelFlag, ConfigSpec, SimConfig, SimError, SimStats};
 use ss_workloads::{kernels, KernelSpec, KernelTrace, TraceSource};
-use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 
@@ -402,8 +401,8 @@ impl RunRequest {
     }
 
     /// Captures every event whose µ-op sequence number falls in
-    /// `[lo, hi)`, plus per-cycle occupancy samples (the pipeview /
-    /// Perfetto sink).
+    /// `[lo, hi)`, plus the occupancy samples over those events' span
+    /// (the pipeview / Perfetto sink).
     pub fn window_trace(mut self, window: std::ops::Range<u64>) -> Self {
         self.trace = TraceReq::Window(window.start, window.end);
         self
@@ -769,35 +768,21 @@ impl Sink for ss_types::NullSink {
     }
 }
 
-/// The runner's own capture sink: a bounded ring or a µ-op sequence
-/// window, selected at run time (the simulator stays monomorphized over
-/// one traced sink type).
+/// The runner's capture sink: a [`RingSink`] flight recorder or a
+/// windowed [`CaptureSink`], selected at run time (the simulator stays
+/// monomorphized over one traced sink type).
 #[derive(Debug)]
 enum RunSink {
-    Ring {
-        buf: VecDeque<TraceEvent>,
-        capacity: usize,
-    },
-    Window {
-        events: Vec<TraceEvent>,
-        lo: u64,
-        hi: u64,
-    },
+    Ring(RingSink),
+    Window(CaptureSink),
 }
 
 impl RunSink {
     fn for_req(req: &TraceReq) -> Option<RunSink> {
         match *req {
             TraceReq::Off => None,
-            TraceReq::Ring(capacity) => Some(RunSink::Ring {
-                buf: VecDeque::with_capacity(capacity),
-                capacity,
-            }),
-            TraceReq::Window(lo, hi) => Some(RunSink::Window {
-                events: Vec::new(),
-                lo,
-                hi,
-            }),
+            TraceReq::Ring(capacity) => Some(RunSink::Ring(RingSink::new(capacity))),
+            TraceReq::Window(lo, hi) => Some(RunSink::Window(CaptureSink::with_window(lo..hi))),
         }
     }
 }
@@ -805,30 +790,15 @@ impl RunSink {
 impl TraceSink for RunSink {
     fn record(&mut self, ev: TraceEvent) {
         match self {
-            RunSink::Ring { buf, capacity } => {
-                if buf.len() == *capacity {
-                    buf.pop_front();
-                }
-                buf.push_back(ev);
-            }
-            RunSink::Window { events, lo, hi } => {
-                // Occupancy samples carry no sequence number and always
-                // pass (same contract as the harness capture sink).
-                let wanted = match ev.seq() {
-                    Some(seq) => (*lo..*hi).contains(&seq.get()),
-                    None => true,
-                };
-                if wanted {
-                    events.push(ev);
-                }
-            }
+            RunSink::Ring(sink) => sink.record(ev),
+            RunSink::Window(sink) => sink.record(ev),
         }
     }
 
     fn recent(&self) -> Vec<TraceEvent> {
         match self {
-            RunSink::Ring { buf, .. } => buf.iter().copied().collect(),
-            RunSink::Window { events, .. } => events.clone(),
+            RunSink::Ring(sink) => sink.recent(),
+            RunSink::Window(sink) => sink.recent(),
         }
     }
 }
@@ -836,8 +806,8 @@ impl TraceSink for RunSink {
 impl Sink for RunSink {
     fn into_events(self) -> Vec<TraceEvent> {
         match self {
-            RunSink::Ring { buf, .. } => buf.into_iter().collect(),
-            RunSink::Window { events, .. } => events,
+            RunSink::Ring(mut sink) => sink.take(),
+            RunSink::Window(sink) => sink.into_events(),
         }
     }
 }

@@ -12,16 +12,17 @@
 //! `experiments fuzz --repro <file>` replays.
 //!
 //! Every cell runs twice with the same oracle and fault plan. The first
-//! run has a bounded [`RingSink`] trace attached, so a failing cell's
+//! run steps the reference model (`legacy_scan`: every stage ungated,
+//! the per-cycle O(ROB) scan) with a bounded [`RingSink`] trace
+//! attached, so a failing cell's
 //! [`DivergenceReport`](ss_types::DivergenceReport) /
 //! [`DeadlockReport`](ss_types::DeadlockReport) carries the trailing
 //! pipeline-event window and each repro file gets a
 //! `repro-<seed>.trace.txt` pipeview sidecar — a replayable picture of
-//! the cycles leading up to the failure. An enabled sink makes the
-//! simulator step its per-tick reference loop, so the second run, with
-//! no sink, is what exercises the production stepper: the two must end
-//! with equal statistics, or fail with the same error class at the same
-//! commit count. Anything else is a [`SimError::StepperMismatch`], which
+//! the cycles leading up to the failure. The second run, with no sink,
+//! steps the production stepper: the two must end with equal
+//! statistics, or fail with the same error class at the same commit
+//! count. Anything else is a [`SimError::StepperMismatch`], which
 //! shrinks and replays like every other failure class.
 //!
 //! Cells are sharded across worker threads with the same
@@ -244,7 +245,7 @@ impl FuzzCell {
 }
 
 /// Runs one cell with the differential oracle attached, once through
-/// the traced reference loop and once through the production stepper.
+/// the traced reference model and once through the production stepper.
 /// `Ok(())` means both completed with every commit verified and equal
 /// statistics; panics are caught and come back as
 /// [`SimError::Panicked`].
@@ -254,10 +255,12 @@ pub fn run_cell(cell: &FuzzCell) -> Result<(), SimError> {
     stepper_verdict(reference, production)
 }
 
-/// One oracle-checked run of `cell`. `traced` attaches a bounded ring
-/// trace, so failure reports carry the trailing pipeline-event window.
-fn run_once(cell: &FuzzCell, traced: bool) -> Result<SimStats, SimError> {
-    let cfg = cell.config()?;
+/// One oracle-checked run of `cell`. `reference` steps the reference
+/// model (`legacy_scan`) with a bounded ring trace attached, so failure
+/// reports carry the trailing pipeline-event window.
+fn run_once(cell: &FuzzCell, reference: bool) -> Result<SimStats, SimError> {
+    let mut cfg = cell.config()?;
+    cfg.legacy_scan = reference;
     let spec = cell.kernel();
     let plan = cell.fault_plan();
     let run = cell.run;
@@ -271,7 +274,7 @@ fn run_once(cell: &FuzzCell, traced: bool) -> Result<SimStats, SimError> {
             })
             .checked(true)
             .faults(plan);
-        if traced {
+        if reference {
             req = req.ring_trace(RingSink::DEFAULT_CAPACITY);
         }
         if seed_bug {

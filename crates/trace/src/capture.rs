@@ -1,20 +1,31 @@
 //! Unbounded capture sink with an optional µ-op sequence window.
 
 use ss_types::trace::{TraceEvent, TraceSink};
-use ss_types::SeqNum;
 use std::ops::Range;
 
 /// Keeps every recorded event (optionally filtered to a half-open µ-op
 /// sequence window) for offline rendering through the Perfetto exporter
 /// or the pipeview.
 ///
-/// Per-cycle [`TraceEvent::Occupancy`] samples carry no sequence number
-/// and always pass the filter — the renderers decide whether to use
-/// them.
+/// [`TraceEvent::Occupancy`] samples carry no sequence number; the
+/// pipeline records one at the end of a cycle when the occupancy
+/// changed. Unwindowed, every sample is kept. Windowed, the sink keeps
+/// the sample in force when the first in-window event arrives and every
+/// sample between that event and the last in-window event, so memory is
+/// bounded by the window's span rather than by the run. Samples after
+/// the last in-window event are held back until another in-window event
+/// arrives; once a µ-op at or past the window's end commits (sequence
+/// numbers commit in order and densely, so no in-window µ-op can appear
+/// after it) they are dropped as they come.
 #[derive(Debug, Clone, Default)]
 pub struct CaptureSink {
     events: Vec<TraceEvent>,
     window: Option<Range<u64>>,
+    /// Windowed: occupancy samples since the last kept event (before
+    /// the first, only the newest).
+    pending: Vec<TraceEvent>,
+    /// Windowed: the window's µ-ops have all committed.
+    closed: bool,
 }
 
 impl CaptureSink {
@@ -24,11 +35,12 @@ impl CaptureSink {
     }
 
     /// Captures only events whose µ-op sequence number falls in
-    /// `window` (half-open), plus all occupancy samples.
+    /// `window` (half-open), plus the occupancy samples over the span of
+    /// those events.
     pub fn with_window(window: Range<u64>) -> Self {
         CaptureSink {
-            events: Vec::new(),
             window: Some(window),
+            ..CaptureSink::default()
         }
     }
 
@@ -41,19 +53,32 @@ impl CaptureSink {
     pub fn into_events(self) -> Vec<TraceEvent> {
         self.events
     }
-
-    fn wants(&self, seq: Option<SeqNum>) -> bool {
-        match (&self.window, seq) {
-            (Some(w), Some(s)) => w.contains(&s.get()),
-            _ => true,
-        }
-    }
 }
 
 impl TraceSink for CaptureSink {
     fn record(&mut self, ev: TraceEvent) {
-        if self.wants(ev.seq()) {
+        let Some(window) = &self.window else {
             self.events.push(ev);
+            return;
+        };
+        match (ev, ev.seq()) {
+            (_, Some(seq)) if window.contains(&seq.get()) => {
+                self.events.append(&mut self.pending);
+                self.events.push(ev);
+            }
+            (TraceEvent::Occupancy { .. }, _) if !self.closed => {
+                if self.events.is_empty() {
+                    self.pending.clear();
+                }
+                self.pending.push(ev);
+            }
+            _ => {}
+        }
+        if let TraceEvent::Commit { seq, .. } = ev {
+            if seq.get() + 1 >= window.end {
+                self.closed = true;
+                self.pending = Vec::new();
+            }
         }
     }
 
@@ -67,7 +92,7 @@ impl TraceSink for CaptureSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_types::Cycle;
+    use ss_types::{Cycle, SeqNum};
 
     fn commit(n: u64) -> TraceEvent {
         TraceEvent::Commit {
@@ -92,16 +117,10 @@ mod tests {
         let mut c = CaptureSink::with_window(3..6);
         for n in 0..10 {
             c.record(commit(n));
+            if n == 4 {
+                c.record(occupancy(n));
+            }
         }
-        c.record(TraceEvent::Occupancy {
-            cycle: Cycle::new(99),
-            rob: 1,
-            iq: 1,
-            lq: 0,
-            sq: 0,
-            recovery: 0,
-            inflight: 0,
-        });
         let seqs: Vec<_> = c
             .events()
             .iter()
@@ -109,5 +128,50 @@ mod tests {
             .collect();
         assert_eq!(seqs, vec![3, 4, 5]);
         assert_eq!(c.events().len(), 4, "occupancy sample retained");
+    }
+
+    fn occupancy(cycle: u64) -> TraceEvent {
+        TraceEvent::Occupancy {
+            cycle: Cycle::new(cycle),
+            rob: cycle as u32,
+            iq: 1,
+            lq: 0,
+            sq: 0,
+            recovery: 0,
+            inflight: 0,
+        }
+    }
+
+    /// Windowed occupancy: the sample in force when the window opens,
+    /// every sample up to the last in-window event, nothing after.
+    #[test]
+    fn window_keeps_only_the_occupancy_over_its_span() {
+        let mut c = CaptureSink::with_window(100..102);
+        let mut cycle = 0;
+        let mut sample = |c: &mut CaptureSink| {
+            cycle += 1;
+            c.record(occupancy(cycle));
+        };
+        for _ in 0..1_000 {
+            sample(&mut c);
+        }
+        c.record(commit(100));
+        sample(&mut c);
+        sample(&mut c);
+        c.record(commit(101));
+        for _ in 0..1_000 {
+            sample(&mut c);
+        }
+        assert_eq!(
+            c.events(),
+            [
+                occupancy(1_000),
+                commit(100),
+                occupancy(1_001),
+                occupancy(1_002),
+                commit(101),
+            ]
+        );
+        assert!(c.pending.is_empty(), "closed window still holds samples");
     }
 }

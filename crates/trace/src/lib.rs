@@ -10,7 +10,7 @@
 //! * [`RingSink`] — bounded ring of the most recent events; the default
 //!   capture for fuzzing and failure reports ("flight recorder").
 //! * [`CaptureSink`] — keeps everything (optionally only a µ-op sequence
-//!   window) for offline rendering.
+//!   window and the occupancy over its span) for offline rendering.
 //! * [`perfetto::export_chrome_trace`] — Chrome-trace-event JSON
 //!   (`chrome://tracing`, [Perfetto](https://ui.perfetto.dev)): one
 //!   track per pipeline stage, counter tracks for occupancy, and flow

@@ -11,8 +11,8 @@
 //! * each replay squash linked back to its triggering µ-op with a
 //!   `"s"`/`"f"` flow pair, so clicking the late load in the Perfetto UI
 //!   draws arrows to every dependent it took down;
-//! * per-cycle structure occupancy as a multi-series `"C"` counter
-//!   track.
+//! * structure occupancy (sampled when it changes) as a multi-series
+//!   `"C"` counter track.
 //!
 //! Output is deterministic: event order follows the input stream and
 //! flow ids are assigned in first-use order.

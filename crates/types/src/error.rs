@@ -252,8 +252,8 @@ pub enum SimError {
         /// The wall-clock budget that expired, in milliseconds.
         budget_ms: u64,
     },
-    /// The production stepper and the reference per-tick loop disagreed
-    /// on the same run (found by the stepper-differential fuzzer): the
+    /// The production stepper and the reference model (`legacy_scan`)
+    /// disagreed on the same run (found by the stepper-differential fuzzer): the
     /// text names what differed between the two outcomes.
     StepperMismatch(String),
 }

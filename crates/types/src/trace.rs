@@ -20,7 +20,7 @@
 //! | [`TraceEvent::RecoveryEnter`] | reinserted into the Morancho-style recovery buffer |
 //! | [`TraceEvent::Commit`] | retired from the ROB head |
 //! | [`TraceEvent::Flush`] | discarded by a branch-misprediction flush |
-//! | [`TraceEvent::Occupancy`] | per-cycle structure occupancy (ROB/IQ/LQ/SQ/recovery/in-flight) |
+//! | [`TraceEvent::Occupancy`] | structure occupancy (ROB/IQ/LQ/SQ/recovery/in-flight), sampled at the end of a cycle when it changed |
 //!
 //! Memory-order-violation squashes are not a separate event: the load's
 //! re-issue appears as a fresh [`TraceEvent::Issue`], and the violating
@@ -136,7 +136,8 @@ pub enum TraceEvent {
         /// Dynamic sequence number.
         seq: SeqNum,
     },
-    /// Per-cycle occupancy of the pipeline structures.
+    /// Occupancy of the pipeline structures, sampled at the end of a
+    /// cycle when it changed since the last sample.
     Occupancy {
         /// Sampled cycle.
         cycle: Cycle,
@@ -172,8 +173,7 @@ impl TraceEvent {
         }
     }
 
-    /// The µ-op this event belongs to (`None` for per-cycle occupancy
-    /// samples).
+    /// The µ-op this event belongs to (`None` for occupancy samples).
     pub fn seq(&self) -> Option<SeqNum> {
         match *self {
             TraceEvent::Fetch { seq, .. }

@@ -12,8 +12,9 @@ use speculative_scheduling::core::{FaultPlan, RunLength, RunRequest, Simulator};
 use speculative_scheduling::harness::configs::ConfigSpec;
 use speculative_scheduling::harness::fuzz::FuzzCell;
 use speculative_scheduling::prelude::*;
+use speculative_scheduling::trace::{CaptureSink, NullSink, RingSink, TraceSink};
 use speculative_scheduling::types::{CancelFlag, SimError};
-use speculative_scheduling::workloads::{kernels, KernelTrace};
+use speculative_scheduling::workloads::{kernels, KernelSpec, KernelTrace};
 
 /// Test-local shim over the unified runner, preserving the fallible
 /// signature these tests assert error taxonomy through. `chunk` slices
@@ -284,5 +285,147 @@ fn fuzz_cells_are_byte_identical() {
     assert!(
         clean >= 24,
         "only {clean}/32 cells ran clean — the campaign is degenerate"
+    );
+}
+
+/// One run of `n` committed µ-ops with `sink` attached, through the
+/// reference model iff `legacy`: the outcome, the statistics and the
+/// sink.
+fn sink_run<S: TraceSink>(
+    cfg: &SimConfig,
+    spec: KernelSpec,
+    plan: &FaultPlan,
+    legacy: bool,
+    n: u64,
+    sink: S,
+) -> (Result<SimStats, SimError>, SimStats, S) {
+    let mut cfg = cfg.clone();
+    cfg.legacy_scan = legacy;
+    let mut sim = Simulator::with_sink(cfg, KernelTrace::new(spec), sink);
+    sim.set_fault_plan(plan.clone()).expect("valid plan");
+    let outcome = sim.try_run_committed(n);
+    let stats = sim.stats();
+    (outcome, stats, sim.into_sink())
+}
+
+/// A traced run steps the production stepper, not a machine of its own:
+/// over kernels × delays 0/2/4/6 × {default, AlwaysHit + banked L1D},
+/// plus a fault plan per kernel, a fully captured production run and a
+/// fully captured reference run record identical event streams, and
+/// both end with the statistics of the untraced production run.
+#[test]
+fn traced_runs_are_byte_identical() {
+    const RUN: u64 = 2_000;
+    let mut cells: Vec<(String, SimConfig, FaultPlan)> = Vec::new();
+    for delay in [0u64, 2, 4, 6] {
+        let default = SimConfig::builder().issue_to_execute_delay(delay).build();
+        let missy = SimConfig::builder()
+            .issue_to_execute_delay(delay)
+            .sched_policy(SchedPolicyKind::AlwaysHit)
+            .banked_l1d(true)
+            .build();
+        cells.push((format!("d{delay} default"), default, FaultPlan::new()));
+        cells.push((
+            format!("d{delay} AlwaysHit banked"),
+            missy,
+            FaultPlan::new(),
+        ));
+    }
+    let faulted = SimConfig::builder()
+        .issue_to_execute_delay(4)
+        .sched_policy(SchedPolicyKind::AlwaysHit)
+        .banked_l1d(true)
+        .build();
+    let plan = FaultPlan::new()
+        .latency_spike(1_000, 300, 40)
+        .replay_storm(2_000, 300);
+    cells.push(("d4 AlwaysHit banked + faults".into(), faulted, plan));
+    let mut events = 0;
+    for (name, spec) in [
+        ("dep_chain_l2", kernels::dep_chain_l2(1)),
+        ("ptr_chase_big", kernels::ptr_chase_big(1)),
+        ("mix_int", kernels::mix_int(1)),
+        ("crafty_like", kernels::crafty_like(1)),
+        ("stream_all_miss", kernels::stream_all_miss(1)),
+    ] {
+        for (what, cfg, plan) in &cells {
+            let what = format!("{name} {what}");
+            let (outcome, untraced, _) = sink_run(cfg, spec.clone(), plan, false, RUN, NullSink);
+            outcome.unwrap_or_else(|e| panic!("{what}: run failed: {e}"));
+            assert!(
+                *plan == FaultPlan::new() || untraced.faults_injected > 0,
+                "{what}: fault window never fired"
+            );
+            let traced =
+                |legacy| sink_run(cfg, spec.clone(), plan, legacy, RUN, CaptureSink::new());
+            let (_, production, p_sink) = traced(false);
+            let (_, reference, r_sink) = traced(true);
+            assert_eq!(production, untraced, "{what}: traced production stats");
+            assert_eq!(reference, untraced, "{what}: traced reference stats");
+            let (p, r) = (p_sink.into_events(), r_sink.into_events());
+            if let Some(i) = p.iter().zip(&r).position(|(a, b)| a != b) {
+                panic!(
+                    "{what}: event {i} differs: production {} vs reference {}",
+                    p[i], r[i]
+                );
+            }
+            assert_eq!(p.len(), r.len(), "{what}: event counts differ");
+            events += p.len();
+        }
+    }
+    assert!(events > 1_000_000, "only {events} events captured");
+}
+
+/// A ring-traced deadlock ends the production stepper and the reference
+/// model with byte-identical reports, flight-recorder trace included:
+/// the stepper fast-forwards the 10K stalled cycles, the reference steps
+/// each, and neither records anything on a cycle that changes nothing.
+#[test]
+fn ring_traced_deadlock_reports_are_byte_identical() {
+    // A 400K-cycle load stall under a 10K watchdog.
+    let cfg = SimConfig::builder().watchdog_cycles(10_000).build();
+    let plan = FaultPlan::new().latency_spike(3_000, 100, 400_000);
+    let [production, reference] = [false, true].map(|legacy| {
+        let sink = RingSink::new(RingSink::DEFAULT_CAPACITY);
+        match sink_run(&cfg, kernels::mix_int(1), &plan, legacy, 1_000_000, sink) {
+            (Err(SimError::Deadlock(report)), _, _) => report,
+            (other, _, _) => panic!("legacy={legacy}: expected a deadlock, got {other:?}"),
+        }
+    });
+    assert!(!production.trace.is_empty(), "flight recorder is empty");
+    assert_eq!(production, reference, "deadlock reports differ");
+    assert_eq!(production.to_string(), reference.to_string());
+}
+
+/// Public per-cycle `tick()` steps the production stepper one gated
+/// cycle at a time; every cycle's occupancy snapshot equals the
+/// reference model's, and so do the final statistics.
+#[test]
+fn per_cycle_tick_matches_the_reference() {
+    const CYCLES: u64 = 20_000;
+    let base = SimConfig::builder()
+        .issue_to_execute_delay(4)
+        .sched_policy(SchedPolicyKind::AlwaysHit)
+        .banked_l1d(true)
+        .build();
+    let [mut production, mut reference] = [false, true].map(|legacy| {
+        let mut cfg = base.clone();
+        cfg.legacy_scan = legacy;
+        Simulator::new(cfg, KernelTrace::new(kernels::mix_int(1)))
+    });
+    for cycle in 1..=CYCLES {
+        production.tick();
+        reference.tick();
+        assert_eq!(
+            production.snapshot(),
+            reference.snapshot(),
+            "cycle {cycle}: snapshots differ"
+        );
+    }
+    let stats = production.stats();
+    assert_eq!(stats, reference.stats(), "statistics differ");
+    assert!(
+        stats.replayed_miss + stats.replayed_bank > 0,
+        "fixture must replay"
     );
 }

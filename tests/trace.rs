@@ -6,7 +6,7 @@
 //! parse, and a seeded-bug divergence must carry the trailing trace
 //! window with the squash events that explain it.
 
-use speculative_scheduling::core::{DiffChecker, RunLength, Simulator};
+use speculative_scheduling::core::{DiffChecker, FaultPlan, RunLength, RunRequest, Simulator};
 use speculative_scheduling::harness::fuzz::{error_trace, run_campaign, FuzzOptions};
 use speculative_scheduling::oracle::InOrderModel;
 use speculative_scheduling::prelude::*;
@@ -162,5 +162,114 @@ fn seeded_bug_divergence_carries_squash_trace() {
     assert!(
         pv.contains('R'),
         "pipeview should show replay glyphs:\n{pv}"
+    );
+}
+
+/// A deadlock's flight recorder shows the cycles before the stall, not
+/// one occupancy sample repeated: under a 10K watchdog and a 400K-cycle
+/// load stall, the ring keeps the commits that led up to it, and no two
+/// consecutive occupancy samples in it are equal (a sample is recorded
+/// only when occupancy changes).
+#[test]
+fn deadlock_flight_recorder_keeps_the_run_up_to_the_stall() {
+    let err = RunRequest::kernel(kernels::mix_int(1))
+        .custom_config(SimConfig::builder().watchdog_cycles(10_000).build())
+        .length(RunLength {
+            warmup: 0,
+            measure: 1_000_000,
+        })
+        .faults(FaultPlan::new().latency_spike(3_000, 100, 400_000))
+        .ring_trace(4096)
+        .execute()
+        .expect_err("the stall must trip the watchdog");
+    let SimError::Deadlock(report) = err else {
+        panic!("expected a deadlock, got: {err}");
+    };
+    assert_eq!(report.trace.len(), 4096, "ring not full");
+    assert!(
+        report
+            .trace
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Commit { .. })),
+        "flight recorder holds no commits"
+    );
+    let samples: Vec<_> = report
+        .trace
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Occupancy { .. }))
+        .map(|e| {
+            let mut e = *e;
+            if let TraceEvent::Occupancy { cycle, .. } = &mut e {
+                *cycle = Default::default();
+            }
+            e
+        })
+        .collect();
+    assert!(!samples.is_empty(), "no occupancy samples");
+    assert!(
+        samples.windows(2).all(|w| w[0] != w[1]),
+        "consecutive occupancy samples repeat"
+    );
+}
+
+/// A windowed capture deep into a run keeps the occupancy over the
+/// window's span only: the sample in force when the window opens, then
+/// at most one per cycle up to the last in-window event — not every
+/// sample since cycle 0.
+#[test]
+fn deep_window_capture_is_bounded_by_the_window() {
+    let window = 6_000..6_100;
+    let events = capture_window(window.clone());
+    let spans: Vec<_> = events
+        .iter()
+        .filter(|e| e.seq().is_some())
+        .map(|e| e.cycle().get())
+        .collect();
+    assert!(
+        events
+            .iter()
+            .filter_map(TraceEvent::seq)
+            .all(|s| window.contains(&s.get())),
+        "capture leaked out-of-window events"
+    );
+    let (lo, hi) = (
+        *spans.iter().min().expect("window captured"),
+        *spans.iter().max().expect("window captured"),
+    );
+    let samples: Vec<u64> = events
+        .iter()
+        .filter(|e| e.seq().is_none())
+        .map(|e| e.cycle().get())
+        .collect();
+    assert!(
+        samples.windows(2).all(|w| w[0] < w[1]),
+        "samples not one per cycle"
+    );
+    assert!(
+        samples.iter().skip(1).all(|&c| c <= hi),
+        "sample past the window's last event"
+    );
+    assert!(
+        samples.len() as u64 <= hi - lo + 2,
+        "{} samples over a {}-cycle window",
+        samples.len(),
+        hi - lo + 1
+    );
+    let mut full = Simulator::with_sink(
+        missy_cfg(),
+        KernelTrace::new(missy_kernel()),
+        CaptureSink::new(),
+    );
+    full.try_run_committed(window.end).expect("runs");
+    let all = full
+        .sink()
+        .events()
+        .iter()
+        .filter(|e| e.seq().is_none())
+        .count();
+    assert!(
+        samples.len() * 10 < all,
+        "window kept {} of the run's {all} samples",
+        samples.len()
     );
 }
